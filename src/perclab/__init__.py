@@ -30,6 +30,7 @@ from .engine import (
     realization_from_dict,
     realization_to_dict,
     render_raster,
+    sample_counts,
     write_pgm,
 )
 from .errors import (
@@ -93,6 +94,7 @@ __all__ = [
     "Realization",
     "CellAddress",
     "generate",
+    "sample_counts",
     "derive_seed",
     "render_raster",
     "pgm_bytes",

@@ -24,7 +24,7 @@ from .errors import (
     RasterTooLargeError,
     UnsupportedDimensionError,
 )
-from .probseq import ProbSequence
+from .probseq import KIND_EXPLICIT, ProbSequence
 
 DEFAULT_CELL_BUDGET = 1 << 26
 MAX_RASTER_SIDE = 4096
@@ -230,6 +230,49 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
             kept = kept[order]
         levels.append(kept)
     return Realization(params, levels, stream)
+
+
+def level_probs(params: PercolationParams) -> tuple[float, ...]:
+    """p_1..p_K of params, cut short where the sequence ends.
+
+    A tail-less explicit sequence is defined only on its prefix.  The levels
+    past it are left out, so a sampler fails on one of them only if it
+    reaches it with live cells, as :func:`generate` does.
+    """
+    seq = params.seq
+    depth = params.depth
+    if seq.kind == KIND_EXPLICIT and seq.tail is None:
+        depth = min(depth, len(seq.prefix))
+    return tuple(seq.p_at(k) for k in range(1, depth + 1))
+
+
+def sample_counts(
+    params: PercolationParams, stream: int = 0, probs: tuple[float, ...] | None = None
+) -> list[int]:
+    """Level counts X_0..X_K of ``generate(params, stream)``, without its cells.
+
+    Draws the same uniforms in the same order from the same keyed stream,
+    and raises the same errors at the same level, but keeps only how many
+    of each level's candidates fall below p_k: no coordinate is expanded,
+    sorted or stored.  Drawing stops once a level is empty.  ``probs`` is
+    ``level_probs(params)``; callers sampling many streams pass it once.
+    """
+    if probs is None:
+        probs = level_probs(params)
+    rng = stream_generator(params.seed, stream)
+    mn = params.m**params.n
+    counts = [1]
+    for k in range(1, params.depth + 1):
+        candidates = counts[-1] * mn
+        if candidates == 0:
+            counts.extend([0] * (params.depth - k + 1))
+            break
+        if candidates > params.cell_budget:
+            raise BudgetExceededError(k, candidates, params.cell_budget)
+        # past a tail-less prefix, p_at raises as it does in generate
+        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
+        counts.append(int(np.count_nonzero(rng.random(candidates) < p)))
+    return counts
 
 
 # ---------------------------------------------------------------------------

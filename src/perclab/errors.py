@@ -30,15 +30,14 @@ class FormulaSingularityError(PercLabError):
 class BudgetExceededError(PercLabError):
     """Cell expansion passed the configured budget.
 
-    ``partial`` may hold a report built from the replicates that completed
-    before the overflow, when an estimator propagates this error.
+    Carries the level whose candidate count passed the budget, that count,
+    and the budget.
     """
 
     def __init__(self, level: int, count: int, budget: int):
         self.level = level
         self.count = count
         self.budget = budget
-        self.partial = None
         super().__init__(
             f"cell budget exceeded at level {level}: {count} candidate cells > budget {budget}"
         )

@@ -1,20 +1,24 @@
 """Monte Carlo estimators: expected volume, survival frequency, box dimension.
 
-Replicate r of an estimate uses the Philox stream keyed (seed, r), and every
-reduction is an order-fixed fold over replicate indices, so results are
-deterministic for a fixed (seed, params, replicates) regardless of how many
-worker threads execute the replicates.
+Every estimate reads only the level counts X_0..X_K of its replicates.
+Replicate r is ``sample_counts(params, r)``: the counts of the realization
+``generate`` would build on the Philox stream keyed (seed, r), drawn on the
+same stream contract but without building coordinates.  Every reduction is
+an order-fixed fold over replicate indices, so results are deterministic for
+a fixed (seed, params, replicates) regardless of how many worker threads
+execute the replicates.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .dimensions import expected_measure_limit
-from .engine import PercolationParams, generate
-from .errors import AllExtinctError, BudgetExceededError, InvalidParamsError
+from .engine import PercolationParams, level_probs, sample_counts
+from .errors import AllExtinctError, InvalidParamsError
 from .probseq import KIND_MFP
 
 QUANTITY_MEASURE = "expected_measure"
@@ -126,17 +130,16 @@ def branching_extinction_prob(
     return q
 
 
-def _map_streams(fn, count: int, threads: int) -> list:
-    """fn(stream_index) for indices 0..count-1, results in index order."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _executor(threads: int):
+    """A pool of ``threads`` workers, or a context yielding None to run inline."""
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
 
 
-def _attach_partial(exc: BudgetExceededError, report):
-    exc.partial = report
-    raise exc
+def _map_streams(fn, streams, pool) -> list:
+    """fn(stream) for each stream, results in stream order."""
+    if pool is None:
+        return [fn(s) for s in streams]
+    return list(pool.map(fn, streams))
 
 
 def estimate_measure(
@@ -150,11 +153,11 @@ def estimate_measure(
     if replicates < MIN_REPLICATES:
         raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
     K = params.depth
-    done: list[int] = []
-    try:
-        done = _map_streams(lambda i: generate(params, stream=i).counts[K], replicates, threads)
-    except BudgetExceededError as exc:
-        _attach_partial(exc, None)
+    probs = level_probs(params)
+    with _executor(threads) as pool:
+        done = _map_streams(
+            lambda i: sample_counts(params, i, probs)[K], range(replicates), pool
+        )
     s = 0
     s2 = 0
     for x in done:
@@ -190,10 +193,11 @@ def estimate_survival(
     if replicates < MIN_REPLICATES:
         raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
     K = params.depth
-    try:
-        flags = _map_streams(lambda i: generate(params, stream=i).survives(), replicates, threads)
-    except BudgetExceededError as exc:
-        _attach_partial(exc, None)
+    probs = level_probs(params)
+    with _executor(threads) as pool:
+        flags = _map_streams(
+            lambda i: sample_counts(params, i, probs)[K] > 0, range(replicates), pool
+        )
     hits = 0
     for f in flags:
         hits += 1 if f else 0
@@ -260,21 +264,25 @@ def estimate_boxdim(
     ln_m = math.log(params.m)
     xs = [k * ln_m for k in range(lo, hi + 1)]
 
+    probs = level_probs(params)
     surviving: list[list[int]] = []
     attempts = 0
     next_stream = 0
-    while len(surviving) < replicates and next_stream < budget:
-        chunk = min(max(threads, 1), budget - next_stream)
-        results = _map_streams(
-            lambda j, base=next_stream: generate(params, stream=base + j).counts, chunk, threads
-        )
-        for counts in results:
-            attempts += 1
-            if counts[K] > 0:
-                surviving.append(counts)
-                if len(surviving) == replicates:
-                    break
-        next_stream += chunk
+    with _executor(threads) as pool:
+        while len(surviving) < replicates and next_stream < budget:
+            chunk = min(max(threads, 1), budget - next_stream)
+            results = _map_streams(
+                lambda i: sample_counts(params, i, probs),
+                range(next_stream, next_stream + chunk),
+                pool,
+            )
+            for counts in results:
+                attempts += 1
+                if counts[K] > 0:
+                    surviving.append(counts)
+                    if len(surviving) == replicates:
+                        break
+            next_stream += chunk
     if not surviving:
         raise AllExtinctError(
             f"no replicate survived to depth {K} within {budget} attempts"

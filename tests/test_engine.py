@@ -22,7 +22,11 @@ from perclab import (
     realization_from_dict,
     realization_to_dict,
     render_raster,
+    sample_counts,
 )
+from perclab.engine import level_probs
+
+from conftest import catalog_seqs, geometries
 
 FULL = ProbSequence.explicit([], tail=1.0)
 
@@ -176,6 +180,59 @@ def test_derive_seed_is_fixed():
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(123, 7) == derive_seed(123, 7)
     assert 0 <= derive_seed(2**64 - 1, 2**32) < 2**64
+
+
+# -- counts-only sampler against the reference generate ---------------------------
+
+
+def explicit_tail_seqs():
+    def build(prefix, tail):
+        prefix = sorted(prefix)
+        return ProbSequence.explicit(prefix, tail=max(prefix + [tail]))
+
+    return st.builds(
+        build, st.lists(st.floats(0.3, 1.0), max_size=4), st.floats(0.3, 1.0)
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BudgetExceededError as exc:
+        return ("budget", exc.level, exc.count, exc.budget)
+    except InvalidParamsError as exc:
+        return ("invalid", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seq=st.one_of(catalog_seqs(), explicit_tail_seqs()),
+    geometry=geometries(),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    budget=st.integers(1, 4000),
+)
+def test_sample_counts_matches_generate(seq, geometry, depth, seed, stream, budget):
+    n, m = geometry
+    params = PercolationParams(n, m, depth, seq, seed=seed, cell_budget=budget)
+    want = _outcome(lambda: generate(params, stream).counts)
+    assert _outcome(lambda: sample_counts(params, stream)) == want
+    probs = level_probs(params)
+    assert _outcome(lambda: sample_counts(params, stream, probs)) == want
+
+
+def test_sample_counts_tailless_prefix_shorter_than_depth():
+    # streams that die within the prefix give counts; the rest reach level 3
+    # alive, where the sequence is undefined, and fail there in both paths
+    params = _params(n=1, m=2, depth=5, seq=ProbSequence.explicit([0.5, 0.5]), seed=4)
+    assert level_probs(params) == (0.5, 0.5)
+    seen = set()
+    for stream in range(40):
+        want = _outcome(lambda: generate(params, stream).counts)
+        assert _outcome(lambda: sample_counts(params, stream)) == want
+        seen.add("invalid" if isinstance(want, tuple) else "died out")
+    assert seen == {"died out", "invalid"}
 
 
 # -- budget and parameter validation ----------------------------------------------

@@ -14,6 +14,7 @@ from perclab import (
     estimate_boxdim,
     estimate_measure,
     estimate_survival,
+    generate,
 )
 from perclab.estimators import CSV_COLUMNS, csv_row, format_float
 
@@ -81,11 +82,16 @@ def test_measure_deterministic_and_thread_invariant():
     assert a == b == c
 
 
-def test_budget_error_carries_partial_flag():
+def test_budget_error_propagates_level_and_count():
     params = PercolationParams(2, 2, 6, FULL, seed=0, cell_budget=100)
-    with pytest.raises(BudgetExceededError) as err:
-        estimate_measure(params, 200)
-    assert hasattr(err.value, "partial")
+    with pytest.raises(BudgetExceededError) as ref:
+        generate(params)
+    want = (ref.value.level, ref.value.count, ref.value.budget)
+    assert want == (4, 256, 100)
+    for estimate in (estimate_measure, estimate_survival, estimate_boxdim):
+        with pytest.raises(BudgetExceededError) as err:
+            estimate(params, 200)
+        assert (err.value.level, err.value.count, err.value.budget) == want
 
 
 # -- survival -----------------------------------------------------------------------
