@@ -21,7 +21,6 @@ from .dimensions import (
     full_report,
 )
 from .engine import (
-    CellAddress,
     PercolationParams,
     Realization,
     derive_seed,
@@ -92,7 +91,6 @@ __all__ = [
     "expected_measure_limit",
     "PercolationParams",
     "Realization",
-    "CellAddress",
     "generate",
     "sample_counts",
     "derive_seed",

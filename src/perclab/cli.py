@@ -238,10 +238,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg.get("fit") is not None:
         cfg["fit"] = _parse_pair(cfg["fit"], "fit")
     cfg["ledger"] = bool(cfg.get("ledger"))
+    try:
+        threads = int(cfg["threads"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"threads must be an integer, got {cfg['threads']!r}") from exc
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     env_cap = os.environ.get(THREADS_ENV)
     if env_cap:
         try:
-            cfg["threads"] = min(int(cfg["threads"]), max(1, int(env_cap)))
+            cfg["threads"] = min(threads, max(1, int(env_cap)))
         except ValueError as exc:
             raise ConfigError(f"${THREADS_ENV} must be an integer") from exc
     return cfg

@@ -93,10 +93,9 @@ def expected_measure(
     """
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        p, espec = seq.exponent_view()
-        if espec.kind in (EXP_CONSTANT_ONE, EXP_EXPLICIT_LIST):
+        if seq.exponents.kind in (EXP_CONSTANT_ONE, EXP_EXPLICIT_LIST):
             return 0.0
-        return p
+        return seq.p
     k_max = int(k_max if k_max is not None else DEFAULT_WINDOW[1])
     if k_max < 1:
         raise InvalidParamsError("k_max must be >= 1")
@@ -166,13 +165,13 @@ def dim_packing(
 
 
 def _packing_analytic(seq, n, m) -> float:
-    p, espec = seq.exponent_view()
+    espec = seq.exponents
     if espec.kind == EXP_CONSTANT_ONE:
-        return n + math.log(p) / math.log(m)
+        return n + math.log(seq.p) / math.log(m)
     if espec.kind == EXP_EXPLICIT_LIST:
         # Cesaro means of the exponents settle at the tail constant and the
         # denominator's single-term correction vanishes like 1/k.
-        return n + espec.tail * math.log(p) / math.log(m)
+        return n + espec.tail * math.log(seq.p) / math.log(m)
     return float(n)
 
 

@@ -103,48 +103,6 @@ class PercolationParams:
         )
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """Address of one cell: per-axis digit strings, axis-major.
-
-    Axis i's digits read as a base-m integer a_i place the cell on
-    prod_i [a_i m^-k, (a_i + 1) m^-k] at level k.
-    """
-
-    level: int
-    digits: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_coords(cls, coords, level: int, m: int) -> "CellAddress":
-        axes = []
-        for a in coords:
-            a = int(a)
-            if not 0 <= a < m**level:
-                raise InvalidParamsError(f"coordinate {a} out of range at level {level}")
-            ds = []
-            for _ in range(level):
-                ds.append(a % m)
-                a //= m
-            axes.append(tuple(reversed(ds)))
-        return cls(level, tuple(axes))
-
-    def coords(self, m: int) -> tuple[int, ...]:
-        out = []
-        for ds in self.digits:
-            a = 0
-            for d in ds:
-                if not 0 <= d < m:
-                    raise InvalidParamsError(f"digit {d} out of range for m={m}")
-                a = a * m + d
-            out.append(a)
-        return tuple(out)
-
-    def box(self, m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        side = float(m) ** (-self.level)
-        lo = tuple(a * side for a in self.coords(m))
-        return lo, tuple(x + side for x in lo)
-
-
 class Realization:
     """Surviving-cell table of one sampled percolation, levels 0..K.
 
@@ -182,11 +140,6 @@ class Realization:
         Overestimates true (infinite-depth) survival; deeper K tightens it.
         """
         return self.levels[self.params.depth].shape[0] > 0
-
-    def addresses(self, k: int) -> list[CellAddress]:
-        return [
-            CellAddress.from_coords(row, k, self.params.m) for row in self.levels[k].tolist()
-        ]
 
 
 def _digit_block(m: int, n: int) -> np.ndarray:

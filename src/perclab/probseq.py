@@ -122,10 +122,15 @@ class ExponentSpec:
 class ProbSequence:
     """One retention-probability sequence {p_k}, p_k in (0, 1].
 
+    Every catalog family is p_k = p^(a_k): its constructor builds the
+    exponent rule once and stores it as an :class:`ExponentSpec` in
+    ``exponents``.  ``kind`` only labels the family on the wire and in
+    displays.
+
     kinds:
-      mfp              constant p_k = p (Mandelbrot fractal percolation)
-      power            p_k = p^(a_k) with an :class:`ExponentSpec` rule
-      power_head       p^a at k = 1 and p afterwards (a >= 1)
+      mfp              constant p_k = p (Mandelbrot fractal percolation), a_k = 1
+      power            p_k = p^(a_k) with any :class:`ExponentSpec` rule
+      power_head       p^a at k = 1 and p afterwards (a >= 1), a_k = a, 1, 1, ...
       power_telescope  p^(a^(k-1) - a^k) with 0 < a < 1; probabilities climb
                        to 1 fast enough that the limit set stays fat
       explicit         a finite prefix plus an optional constant tail
@@ -138,7 +143,6 @@ class ProbSequence:
 
     kind: str
     p: float | None = None
-    a: float | None = None
     prefix: tuple[float, ...] = ()
     tail: float | None = None
     exponents: ExponentSpec | None = None
@@ -146,6 +150,8 @@ class ProbSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
+        if self.kind not in _KINDS:
+            raise InvalidParamsError(f"unknown sequence kind {self.kind!r}")
         if self.kind == KIND_EXPLICIT:
             if not self.prefix and self.tail is None:
                 raise InvalidParamsError("explicit sequence needs a prefix or a tail value")
@@ -156,24 +162,12 @@ class ProbSequence:
             probe = self.prefix + ((self.tail,) if self.tail is not None else ())
             if any(probe[i] > probe[i + 1] for i in range(len(probe) - 1)):
                 self._monotonicity_violation("explicit probabilities decrease somewhere")
-        elif self.kind == KIND_MFP:
-            _check_prob(self.p)
-        elif self.kind == KIND_POWER_HEAD:
-            _check_prob(self.p)
-            if self.a is None or self.a < 1.0:
-                raise InvalidParamsError("power_head needs a >= 1")
-        elif self.kind == KIND_POWER_TELESCOPE:
-            _check_prob(self.p)
-            if self.a is None or not 0.0 < self.a < 1.0:
-                raise InvalidParamsError("power_telescope needs a in (0, 1)")
-        elif self.kind == KIND_POWER:
-            _check_prob(self.p)
-            if self.exponents is None:
-                raise InvalidParamsError("power sequence needs an ExponentSpec")
-            if not self.exponents.is_nonincreasing():
-                self._monotonicity_violation("exponent list increases somewhere (p_k would decrease)")
-        else:
-            raise InvalidParamsError(f"unknown sequence kind {self.kind!r}")
+            return
+        _check_prob(self.p)
+        if self.exponents is None:
+            raise InvalidParamsError(f"{self.kind} sequence needs an ExponentSpec")
+        if not self.exponents.is_nonincreasing():
+            self._monotonicity_violation(f"{self.kind} exponents increase somewhere (p_k would decrease)")
 
     def _monotonicity_violation(self, why: str):
         if self.strict:
@@ -184,7 +178,7 @@ class ProbSequence:
 
     @classmethod
     def mfp(cls, p: float) -> "ProbSequence":
-        return cls(KIND_MFP, p=float(p))
+        return cls(KIND_MFP, p=float(p), exponents=ExponentSpec.constant_one())
 
     @classmethod
     def power(cls, p: float, exponents: ExponentSpec) -> "ProbSequence":
@@ -192,11 +186,11 @@ class ProbSequence:
 
     @classmethod
     def power_head(cls, p: float, a: float) -> "ProbSequence":
-        return cls(KIND_POWER_HEAD, p=float(p), a=float(a))
+        return cls(KIND_POWER_HEAD, p=float(p), exponents=ExponentSpec.explicit_list((a,), 1.0))
 
     @classmethod
     def power_telescope(cls, p: float, a: float) -> "ProbSequence":
-        return cls(KIND_POWER_TELESCOPE, p=float(p), a=float(a))
+        return cls(KIND_POWER_TELESCOPE, p=float(p), exponents=ExponentSpec.geometric_gap(a))
 
     @classmethod
     def explicit(cls, prefix, tail: float | None = None, strict: bool = True) -> "ProbSequence":
@@ -208,18 +202,6 @@ class ProbSequence:
     def is_catalog(self) -> bool:
         """True when closed forms exist for every tail statistic."""
         return self.kind != KIND_EXPLICIT
-
-    def exponent_view(self) -> tuple[float, ExponentSpec]:
-        """Reduce any catalog family to (base p, exponent rule)."""
-        if self.kind == KIND_MFP:
-            return self.p, ExponentSpec.constant_one()
-        if self.kind == KIND_POWER_HEAD:
-            return self.p, ExponentSpec.explicit_list((self.a,), 1.0)
-        if self.kind == KIND_POWER_TELESCOPE:
-            return self.p, ExponentSpec.geometric_gap(self.a)
-        if self.kind == KIND_POWER:
-            return self.p, self.exponents
-        raise InvalidParamsError("explicit sequences have no closed-form exponent view")
 
     def p_at(self, k: int) -> float:
         """Retention probability at subdivision round k (k >= 1)."""
@@ -233,8 +215,7 @@ class ProbSequence:
                     f"explicit sequence defined only up to k={len(self.prefix)}, asked for k={k}"
                 )
             return self.tail
-        p, espec = self.exponent_view()
-        return p ** espec.a_at(k)
+        return self.p ** self.exponents.a_at(k)
 
     def log_p_at(self, k: int) -> float:
         """ln p_k, computed without the near-1 cancellation where possible.
@@ -245,8 +226,7 @@ class ProbSequence:
         """
         if self.kind == KIND_EXPLICIT:
             return math.log(self.p_at(k))
-        p, espec = self.exponent_view()
-        return espec.a_at(k) * math.log(p)
+        return self.exponents.a_at(k) * math.log(self.p)
 
     def cumulative_log(self, k_hi: int) -> np.ndarray:
         """L with L[j] = ln(p_1 ... p_j) for j in [0, k_hi], summed in ascending j."""
@@ -272,19 +252,16 @@ class ProbSequence:
             d["prefix"] = list(self.prefix)
             if self.tail is not None:
                 d["tail"] = self.tail
-        elif self.kind in (KIND_MFP,):
-            d["p"] = self.p
-        elif self.kind in (KIND_POWER_HEAD, KIND_POWER_TELESCOPE):
-            d["p"] = self.p
-            d["a"] = self.a
-        else:  # power
-            d["p"] = self.p
-            es = self.exponents
-            if es.kind == EXP_GEOMETRIC_GAP:
-                d["a"] = es.a
-            elif es.kind == EXP_EXPLICIT_LIST:
-                d["prefix"] = list(es.values)
-                d["tail"] = es.tail
+            return d
+        d["p"] = self.p
+        es = self.exponents
+        if self.kind == KIND_POWER_HEAD:
+            d["a"] = es.values[0]
+        elif es.kind == EXP_GEOMETRIC_GAP:
+            d["a"] = es.a
+        elif es.kind == EXP_EXPLICIT_LIST:
+            d["prefix"] = list(es.values)
+            d["tail"] = es.tail
         return d
 
     @classmethod
@@ -403,11 +380,11 @@ def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto
     window = check_window(window)
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        p, espec = seq.exponent_view()
+        espec = seq.exponents
         if espec.kind == EXP_CONSTANT_ONE:
-            return p, ANALYTIC
+            return seq.p, ANALYTIC
         if espec.kind == EXP_EXPLICIT_LIST:
-            return p**espec.tail, ANALYTIC
+            return seq.p**espec.tail, ANALYTIC
         return 1.0, ANALYTIC
     _require_span(window)
     k_lo, k_hi = window
@@ -447,12 +424,12 @@ def beta_estimate(
     window = check_window(window)
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        p, espec = seq.exponent_view()
+        espec = seq.exponents
         if espec.kind == EXP_GEOMETRIC_GAP:
             amn = espec.a * (m**n)
             if amn < 1.0:
                 # sum_k m^(nk) (a^(k-1) - a^k) = (1-a) m^n / (1 - a m^n)
-                return p ** ((1.0 - espec.a) * (m**n) / (1.0 - amn)), ANALYTIC, False
+                return seq.p ** ((1.0 - espec.a) * (m**n) / (1.0 - amn)), ANALYTIC, False
             return 0.0, ANALYTIC, True
         # constant or eventually-constant positive exponents: the weight
         # series grows like m^(nk) and diverges for every p < 1

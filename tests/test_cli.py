@@ -278,6 +278,18 @@ def test_missing_family_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    base = ("survival", "--family", "mfp", "--p", "0.8", "--depth", "4", "--reps", "10")
+    rc, out, err = run(capsys, *base, "--threads", threads)
+    assert rc == 2 and out == ""
+    assert json.loads(err.splitlines()[0])["error"] == "ConfigError"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": int(threads)}))
+    rc, out, _ = run(capsys, *base, "--config", str(cfg))
+    assert rc == 2 and out == ""
+
+
 # -- determinism ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from perclab import (
     BudgetExceededError,
-    CellAddress,
     InvalidParamsError,
     PercolationParams,
     ProbSequence,
@@ -257,23 +256,6 @@ def test_param_validation():
         PercolationParams(1, 2, 64, FULL)  # m^depth past the packing limit
     with pytest.raises(InvalidParamsError):
         PercolationParams(1, 2, 3, FULL, seed=-1)
-
-
-# -- addresses --------------------------------------------------------------------
-
-
-def test_cell_address_round_trip():
-    addr = CellAddress.from_coords((6,), level=3, m=2)
-    assert addr.digits == ((1, 1, 0),)
-    assert addr.coords(2) == (6,)
-    lo, hi = addr.box(2)
-    assert lo == (0.75,) and hi == (0.875,)
-
-
-def test_addresses_listing():
-    r = generate(_params(n=2, m=2, depth=1))
-    addrs = r.addresses(1)
-    assert [a.coords(2) for a in addrs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # -- raster and PGM ----------------------------------------------------------------

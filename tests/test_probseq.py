@@ -73,6 +73,8 @@ def test_probability_domain_checks():
     with pytest.raises(InvalidParamsError):
         ProbSequence.power_head(0.5, 0.9)  # needs a >= 1
     with pytest.raises(InvalidParamsError):
+        ProbSequence.power_head(0.5, float("nan"))
+    with pytest.raises(InvalidParamsError):
         ProbSequence.power_telescope(0.5, 1.0)  # needs a < 1
 
 
@@ -224,6 +226,8 @@ def test_json_round_trip(seq):
     d = json.loads(json.dumps(seq.to_dict()))
     assert set(d) <= {"kind", "p", "a", "prefix", "tail"}
     back = ProbSequence.from_dict(d)
+    assert back == seq
+    assert back.to_dict() == d
     for k in (1, 2, 3, 7):
         try:
             expected = seq.p_at(k)
@@ -232,6 +236,19 @@ def test_json_round_trip(seq):
                 back.p_at(k)
             continue
         assert back.p_at(k) == expected
+
+
+@pytest.mark.parametrize(
+    "seq, wire",
+    [
+        (ProbSequence.power_head(0.6, 1.5), {"kind": "power_head", "p": 0.6, "a": 1.5}),
+        (ProbSequence.power_telescope(0.8, 0.25), {"kind": "power_telescope", "p": 0.8, "a": 0.25}),
+        (ProbSequence.mfp(0.7), {"kind": "mfp", "p": 0.7}),
+    ],
+)
+def test_catalog_wire_dicts_exact(seq, wire):
+    # key order too: the CLI sorts keys, library callers may not
+    assert list(seq.to_dict().items()) == list(wire.items())
 
 
 def test_from_dict_rejects_unknown_kind():

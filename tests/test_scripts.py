@@ -1,0 +1,39 @@
+"""Smoke runs of the experiment scripts with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, cwd, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, made",
+    [
+        ("dimension_table.py", ("--mc-reps", "3", "--mc-depth", "8"), None),
+        (
+            "survival_threshold_sweep.py",
+            ("--depth", "6", "--reps", "100", "--points", "3", "--out", "sweep.csv"),
+            "sweep.csv",
+        ),
+        ("render_gallery.py", ("--depths", "2,3", "--outdir", "gallery"), "gallery/mfp_p0.9_m2_k3.pgm"),
+    ],
+)
+def test_script_runs(tmp_path, name, args, made):
+    proc = run_script(name, tmp_path, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    if made is not None:
+        assert (tmp_path / made).stat().st_size > 0
