@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .dimensions import full_report
+from .dimensions import DimensionReport, full_report
 from .engine import (
     DEFAULT_CELL_BUDGET,
     PercolationParams,
@@ -42,8 +42,6 @@ from .probseq import DEFAULT_WINDOW, ProbSequence, classify
 from .witness import WitnessSpec, build_witness, format_witness_ledger
 
 THREADS_ENV = "PERC_LAB_THREADS"
-
-COMMANDS = ("dims", "classify", "generate", "render", "measure", "survival", "boxdim", "witness", "sweep")
 
 
 class ConfigError(Exception):
@@ -345,21 +343,26 @@ def _pick_format(cfg: dict, allowed: tuple[str, ...], default: str) -> str:
 # subcommands
 
 
-def cmd_dims(cfg: dict) -> str:
-    seq = build_seq(cfg)
-    rep = full_report(
-        seq, int(cfg["n"]), int(cfg["m"]), window=tuple(cfg["window"]), method=cfg["method"]
+def _dims_report(cfg: dict) -> DimensionReport:
+    return full_report(
+        build_seq(cfg), int(cfg["n"]), int(cfg["m"]), window=tuple(cfg["window"]), method=cfg["method"]
     )
+
+
+def _dims_row(cfg: dict, rep: DimensionReport) -> list[str]:
+    family, fparams = _family_label(cfg)
+    return csv_row(
+        "dims", None, family, fparams, None, rep.hausdorff, 0.0, rep.hausdorff, None, n=rep.n, m=rep.m
+    )
+
+
+def cmd_dims(cfg: dict) -> str:
+    rep = _dims_report(cfg)
     fmt = _pick_format(cfg, ("json", "csv"), "json")
     if fmt == "json":
         _emit_json(cfg, rep.to_dict(), cfg["out"])
     else:
-        family, fparams = _family_label(cfg)
-        row = csv_row(
-            "dims", None, family, fparams, None, rep.hausdorff, 0.0, rep.hausdorff, None,
-            n=rep.n, m=rep.m,
-        )
-        _emit_csv(cfg, [row], cfg["out"])
+        _emit_csv(cfg, [_dims_row(cfg, rep)], cfg["out"])
     return (
         f"dims {cfg['family']} n={cfg['n']} m={cfg['m']}: hausdorff={rep.hausdorff:.6g} "
         f"packing={rep.packing:.6g} assouad={rep.assouad:.6g} measure={rep.expected_measure:.6g} "
@@ -494,12 +497,7 @@ def cmd_sweep(cfg: dict) -> str:
         point = dict(cfg)
         point[key] = float(value)
         if quantity == "dims":
-            seq = build_seq(point)
-            rep = full_report(seq, int(cfg["n"]), int(cfg["m"]),
-                              window=tuple(cfg["window"]), method=cfg["method"])
-            family, fparams = _family_label(point)
-            rows.append(csv_row("dims", None, family, fparams, None,
-                                rep.hausdorff, 0.0, rep.hausdorff, None, n=rep.n, m=rep.m))
+            rows.append(_dims_row(point, _dims_report(point)))
             continue
         # keyed by the grid value so repeated values reproduce identical rows
         value_bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]

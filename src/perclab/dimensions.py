@@ -28,8 +28,6 @@ from .errors import FormulaSingularityError, InternalInvariantError, InvalidPara
 from .probseq import (
     ANALYTIC,
     DEFAULT_WINDOW,
-    EXP_CONSTANT_ONE,
-    EXP_EXPLICIT_LIST,
     ProbSequence,
     _require_span,
     alpha_estimate,
@@ -86,16 +84,14 @@ def expected_measure(
 ) -> float:
     """Expected Lebesgue measure of the limit set, prod_k p_k.
 
-    Constant or eventually-constant exponents make the product vanish;
-    telescoping gaps sum to exactly 1 so the product is p itself.  The
-    windowed fallback exponentiates the log prefix product at k_max and
-    declares 0 once that drops below the underflow floor.
+    Closed form: p^S(1) with S(1) = sum_k a_k, which diverges (product 0)
+    unless the exponents telescope to exactly 1 (product p).  The windowed
+    fallback exponentiates the log prefix product at k_max and declares 0
+    once that drops below the underflow floor.
     """
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        if seq.exponents.kind in (EXP_CONSTANT_ONE, EXP_EXPLICIT_LIST):
-            return 0.0
-        return seq.p
+        return seq.p ** seq.exponents.series(1)
     k_max = int(k_max if k_max is not None else DEFAULT_WINDOW[1])
     if k_max < 1:
         raise InvalidParamsError("k_max must be >= 1")
@@ -134,15 +130,14 @@ def dim_hausdorff(
     alpha < m^(-n) means the set is almost surely empty; the raw value would
     be negative and the full report flags it degenerate instead.
     """
-    raw, _ = _hausdorff_raw(seq, n, m, window, method)
-    return _clamp(raw, n)[0]
+    return _clamp(_hausdorff_raw(seq, n, m, window, method), n)[0]
 
 
-def _hausdorff_raw(seq, n, m, window, method) -> tuple[float, float]:
+def _hausdorff_raw(seq, n, m, window, method) -> float:
     alpha, _ = alpha_estimate(seq, window, method)
     if alpha <= 0.0:
-        return -math.inf, alpha
-    return n + math.log(alpha) / math.log(m), alpha
+        return -math.inf
+    return n + math.log(alpha) / math.log(m)
 
 
 def dim_packing(
@@ -165,14 +160,9 @@ def dim_packing(
 
 
 def _packing_analytic(seq, n, m) -> float:
-    espec = seq.exponents
-    if espec.kind == EXP_CONSTANT_ONE:
-        return n + math.log(seq.p) / math.log(m)
-    if espec.kind == EXP_EXPLICIT_LIST:
-        # Cesaro means of the exponents settle at the tail constant and the
-        # denominator's single-term correction vanishes like 1/k.
-        return n + espec.tail * math.log(seq.p) / math.log(m)
-    return float(n)
+    # Cesaro means of the exponents settle at c and the denominator's
+    # single-term correction vanishes like 1/k.
+    return n + seq.exponents.cesaro_limit() * math.log(seq.p) / math.log(m)
 
 
 def _window_tail_lo(window: tuple[int, int]) -> int:
@@ -259,8 +249,7 @@ def full_report(
     window = check_window(window)
     resolved = resolve_method(seq, method)
 
-    h_raw, alpha = _hausdorff_raw(seq, n, m, window, resolved)
-    hausdorff, degenerate = _clamp(h_raw, n)
+    hausdorff, degenerate = _clamp(_hausdorff_raw(seq, n, m, window, resolved), n)
     packing = dim_packing(seq, n, m, window, method=resolved)
     assouad = dim_assouad(seq, n, m, window, t_window, k_cap, method=resolved)
     measure = expected_measure(seq, n, m, k_max=k_max or window[1], method=resolved)
@@ -291,5 +280,5 @@ def full_report(
         window=None if resolved == ANALYTIC else window,
         n=n,
         m=m,
-        degenerate=degenerate or alpha <= 0.0,
+        degenerate=degenerate,
     )

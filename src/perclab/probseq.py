@@ -104,12 +104,23 @@ class ExponentSpec:
         return self.a ** (k - 1) - self.a**k
 
     def cesaro_limit(self) -> float:
-        """Limit of (a_1 + ... + a_k) / k, which exists for every kind."""
+        """Limit c of (a_1 + ... + a_k) / k, which exists for every kind."""
         if self.kind == EXP_CONSTANT_ONE:
             return 1.0
         if self.kind == EXP_EXPLICIT_LIST:
             return self.tail
         return 0.0
+
+    def series(self, base: float) -> float:
+        """S(base) = sum_k base^k a_k for base >= 1; math.inf where it diverges.
+
+        Only telescoping gaps with a * base < 1 converge:
+        sum_k base^k (a^(k-1) - a^k) = (1 - a) base / (1 - a base).
+        Every other rule has positive exponents from some k on.
+        """
+        if self.kind == EXP_GEOMETRIC_GAP and self.a * base < 1.0:
+            return (1.0 - self.a) * base / (1.0 - self.a * base)
+        return math.inf
 
     def is_nonincreasing(self) -> bool:
         if self.kind != EXP_EXPLICIT_LIST:
@@ -370,9 +381,9 @@ def _require_span(window: tuple[int, int]):
 def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto") -> tuple[float, str]:
     """The liminf geometric-mean statistic alpha, with the method used.
 
-    Closed forms: constant exponents give p, a constant exponent tail c gives
-    p^c, telescoping gaps give 1.  The windowed fallback takes the minimum
-    over k in (k_lo, k_hi] of the geometric mean of p_l for l in (k_lo, k].
+    Closed form: p^c with c the exponents' Cesaro limit (1, the tail, or 0
+    for telescoping gaps).  The windowed fallback takes the minimum over k in
+    (k_lo, k_hi] of the geometric mean of p_l for l in (k_lo, k].
     Discarding the head below k_lo is sound because a liminf is a tail
     property; the minimum under-approximates the true liminf on oscillating
     tails, which is why the closed forms take precedence for the catalog.
@@ -380,12 +391,7 @@ def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto
     window = check_window(window)
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        espec = seq.exponents
-        if espec.kind == EXP_CONSTANT_ONE:
-            return seq.p, ANALYTIC
-        if espec.kind == EXP_EXPLICIT_LIST:
-            return seq.p**espec.tail, ANALYTIC
-        return 1.0, ANALYTIC
+        return seq.p ** seq.exponents.cesaro_limit(), ANALYTIC
     _require_span(window)
     k_lo, k_hi = window
     cum = seq.cumulative_log(k_hi)
@@ -417,23 +423,16 @@ def beta_estimate(
 ) -> tuple[float, str, bool]:
     """The interior statistic beta = prod p_k^(m^(nk)); (value, method, diverged).
 
-    Divergence of the exponent series forces beta = 0; the windowed fallback
-    reports the partial product at k_hi and flags divergence once the partial
-    sums pass the double-precision underflow threshold.
+    Closed form: p^S with S = sum_k m^(nk) a_k, so a divergent exponent
+    series forces beta = 0.  The windowed fallback reports the partial
+    product at k_hi and flags divergence once the partial sums pass the
+    double-precision underflow threshold.
     """
     window = check_window(window)
     resolved = resolve_method(seq, method)
     if resolved == ANALYTIC:
-        espec = seq.exponents
-        if espec.kind == EXP_GEOMETRIC_GAP:
-            amn = espec.a * (m**n)
-            if amn < 1.0:
-                # sum_k m^(nk) (a^(k-1) - a^k) = (1-a) m^n / (1 - a m^n)
-                return seq.p ** ((1.0 - espec.a) * (m**n) / (1.0 - amn)), ANALYTIC, False
-            return 0.0, ANALYTIC, True
-        # constant or eventually-constant positive exponents: the weight
-        # series grows like m^(nk) and diverges for every p < 1
-        return 0.0, ANALYTIC, True
+        s = seq.exponents.series(m**n)
+        return seq.p**s, ANALYTIC, math.isinf(s)
     _require_span(window)
     s = beta_partial_log_sum(seq, n, m, window[1])
     if s > BETA_LOG_DIVERGENCE:

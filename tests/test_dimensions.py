@@ -10,6 +10,7 @@ from perclab import (
     ExponentSpec,
     FormulaSingularityError,
     ProbSequence,
+    alpha_estimate,
     dim_assouad,
     dim_hausdorff,
     dim_packing,
@@ -74,6 +75,17 @@ def test_assouad_matches_packing_on_catalog():
         ProbSequence.power_head(0.6, 2.0),
     ):
         assert dim_assouad(seq, 2, 2) == dim_packing(seq, 2, 2)
+
+
+def test_power_explicit_tail_closed_forms_exact():
+    # every analytic value is read from the tail exponent c = 1.5
+    seq = ProbSequence.power(0.8, ExponentSpec.explicit_list([3.0, 2.0], 1.5))
+    dim = 2 + 1.5 * math.log(0.8) / math.log(3)
+    assert alpha_estimate(seq) == (0.8**1.5, "analytic")
+    assert dim_packing(seq, 2, 3) == dim
+    assert dim_assouad(seq, 2, 3) == dim
+    assert expected_measure(seq, 2, 3) == 0.0
+    assert expected_measure_limit(seq) == 0.0
 
 
 def test_all_ones_every_dimension_windowed():

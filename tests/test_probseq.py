@@ -86,6 +86,24 @@ def test_non_monotone_explicit_strict_and_flagged():
     assert seq.p_at(2) == 0.5
 
 
+@pytest.mark.parametrize(
+    "espec, cesaro, series",
+    [
+        (ExponentSpec.constant_one(), 1.0, {1: math.inf, 4: math.inf}),
+        (ExponentSpec.explicit_list([3.0, 2.0], 1.5), 1.5, {1: math.inf, 2: math.inf}),
+        (ExponentSpec.explicit_list([], 0.25), 0.25, {1: math.inf}),
+        # (1 - a) base / (1 - a base) while a base < 1; the gaps sum to exactly 1
+        (ExponentSpec.geometric_gap(0.25), 0.0, {1: 1.0, 2: 3.0, 3: 9.0, 4: math.inf, 8: math.inf}),
+        (ExponentSpec.geometric_gap(0.1), 0.0, {1: 1.0, 9: 0.9 * 9 / (1.0 - 0.1 * 9), 10: math.inf}),
+        (ExponentSpec.geometric_gap(0.7), 0.0, {1: 1.0, 2: math.inf}),
+    ],
+)
+def test_exponent_rule_cesaro_limit_and_series(espec, cesaro, series):
+    assert espec.cesaro_limit() == cesaro
+    for base, expected in series.items():
+        assert espec.series(base) == expected, base
+
+
 # -- log prefix products ------------------------------------------------------
 
 
@@ -135,6 +153,15 @@ def test_beta_closed_form_for_convergent_telescope():
     # windowed partial products agree
     win = classify(ProbSequence.power_telescope(0.5, 0.2), 1, 2, method="windowed")
     assert win.beta == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, n, m", [(0.5, 1, 2), (0.5, 2, 2), (0.2, 1, 5), (0.2, 3, 2)])
+def test_beta_diverges_for_telescope_with_a_mn_at_least_one(a, n, m):
+    rep = classify(ProbSequence.power_telescope(0.5, a), n, m)
+    assert rep.beta_method == "analytic"
+    assert rep.beta == 0.0
+    assert rep.beta_diverged is True
+    assert rep.interior_class == "empty_interior"
 
 
 def test_beta_partial_product_example():
