@@ -30,7 +30,6 @@ from .engine import (
     realization_to_dict,
     render_raster,
     sample_counts,
-    write_pgm,
 )
 from .errors import (
     AllExtinctError,
@@ -96,7 +95,6 @@ __all__ = [
     "derive_seed",
     "render_raster",
     "pgm_bytes",
-    "write_pgm",
     "realization_to_dict",
     "realization_from_dict",
     "EstimateReport",

@@ -183,7 +183,7 @@ def _packing_windowed(seq, n, m, window) -> float:
                 k + 1, f"packing denominator {den:.3g} <= 0 (p_{k + 1} too small)"
             )
         best = max(best, num / den)
-    return best
+    return float(best)
 
 
 def dim_assouad(

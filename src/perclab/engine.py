@@ -31,6 +31,7 @@ MAX_RASTER_SIDE = 4096
 
 _MASK64 = (1 << 64) - 1
 _COORD_LIMIT = 1 << 63  # per-axis coordinates must stay packable
+_KEY_LIMIT = 1 << 64  # a packed level key must fit in uint64
 
 
 def splitmix64(x: int) -> int:
@@ -147,6 +148,49 @@ def _digit_block(m: int, n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(m), repeat=n)), dtype=np.uint64)
 
 
+def _pack(cells: np.ndarray, side: np.uint64) -> np.ndarray:
+    """Row-major key of each row, sum_a X_a * side^(n-1-a), as uint64.
+
+    The arithmetic wraps modulo 2^64, so the key is exact whenever its true
+    value fits, whatever the intermediate terms.
+    """
+    key = cells[:, 0].copy()
+    for axis in range(1, cells.shape[1]):
+        key *= side
+        key += cells[:, axis]
+    return key
+
+
+def _unpack(key: np.ndarray, side: np.uint64, n: int) -> np.ndarray:
+    """Coordinate rows of packed keys; consumes ``key``."""
+    cells = np.empty((key.shape[0], n), dtype=np.uint64)
+    for axis in range(n - 1, 0, -1):
+        np.divmod(key, side, out=(key, cells[:, axis]))
+    cells[:, 0] = key
+    return cells
+
+
+def _next_level_packed(parents, block, m, side, keep) -> np.ndarray:
+    # candidate keys in draw order: parents in sorted order, children in
+    # digit order; a child's key is m * (its parent's key at this side) plus
+    # its digit offset's key
+    side64 = np.uint64(side)
+    base = _pack(parents, side64)
+    base *= np.uint64(m)
+    key = (base[:, None] + _pack(block, side64)[None, :]).reshape(-1)[keep]
+    if block.shape[1] > 1:
+        key.sort()  # keys are unique, so stability is moot
+    return _unpack(key, side64, block.shape[1])
+
+
+def _next_level_lexsort(parents, block, m, keep) -> np.ndarray:
+    n = block.shape[1]
+    children = (parents[:, None, :] * np.uint64(m) + block[None, :, :]).reshape(-1, n)
+    kept = children[keep]
+    del children
+    return kept[np.lexsort(tuple(kept[:, axis] for axis in range(n - 1, -1, -1)))]
+
+
 def generate(params: PercolationParams, stream: int = 0) -> Realization:
     """Sample one realization level by level.
 
@@ -157,13 +201,20 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     expansion at any level would exceed the cell budget, the run aborts with
     the level and count (the pre-expansion check is deliberately
     conservative: it also bounds peak memory).
+
+    Each level is ordered through one row-major uint64 key per cell,
+    sum_a X_a * (m^k)^(n-1-a): children are expanded as keys, selected,
+    sorted with ``ndarray.sort`` and decoded into coordinate columns.  A
+    level whose keys would pass 64 bits (m^(nk) > 2^64) expands coordinate
+    columns and orders them with ``np.lexsort`` instead.  Both give the same
+    sorted level.
     """
+    probs = level_probs(params)
     rng = stream_generator(params.seed, stream)
     m, n, mn = params.m, params.n, params.m**params.n
     if mn > params.cell_budget:
         raise BudgetExceededError(1, mn, params.cell_budget)
     block = _digit_block(m, n)
-    m64 = np.uint64(m)
 
     levels: list[np.ndarray] = [np.zeros((1, n), dtype=np.uint64)]
     empty = np.zeros((0, n), dtype=np.uint64)
@@ -175,13 +226,14 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
         candidates = parents.shape[0] * mn
         if candidates > params.cell_budget:
             raise BudgetExceededError(k, candidates, params.cell_budget)
-        children = (parents[:, None, :] * m64 + block[None, :, :]).reshape(candidates, n)
-        keep = rng.random(candidates) < params.seq.p_at(k)
-        kept = children[keep]
-        if n > 1 and kept.shape[0] > 1:
-            order = np.lexsort(tuple(kept[:, axis] for axis in range(n - 1, -1, -1)))
-            kept = kept[order]
-        levels.append(kept)
+        # past a tail-less prefix, p_at raises as it does in sample_counts
+        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
+        keep = rng.random(candidates) < p
+        side = m**k
+        if side**n <= _KEY_LIMIT:
+            levels.append(_next_level_packed(parents, block, m, side, keep))
+        else:
+            levels.append(_next_level_lexsort(parents, block, m, keep))
     return Realization(params, levels, stream)
 
 
@@ -249,8 +301,11 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
     grid = np.zeros((side, side), dtype=np.uint8)
     cells = realization.levels[k]
     if cells.shape[0]:
-        rows = (side - 1) - cells[:, 1].astype(np.int64)
-        grid[rows, cells[:, 0].astype(np.int64)] = 1
+        # row side-1-y, column x, as one index into the flat grid
+        flat = np.subtract(side - 1, cells[:, 1], dtype=np.intp)
+        flat *= side
+        np.add(flat, cells[:, 0], out=flat, dtype=np.intp)
+        grid.reshape(-1)[flat] = 1
     return grid
 
 
@@ -264,11 +319,6 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
     h, w = grid.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     return header + (grid.astype(np.uint8) * np.uint8(255)).tobytes()
-
-
-def write_pgm(grid: np.ndarray, path: str):
-    with open(path, "wb") as fh:
-        fh.write(pgm_bytes(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_windowed_report_carries_window():
     assert rep.window == WINDOW
 
 
+@pytest.mark.parametrize("method", ["analytic", "windowed"])
+def test_report_float_fields_are_plain_floats(method):
+    # a numpy scalar here would leak into every caller of the report
+    rep = full_report(ProbSequence.mfp(0.7), 2, 2, method=method)
+    fields = ("hausdorff", "packing", "assouad", "box_lower", "box_upper", "expected_measure")
+    assert {f: type(getattr(rep, f)) for f in fields} == dict.fromkeys(fields, float)
+
+
 def test_analytic_method_refused_for_explicit():
     with pytest.raises(Exception):
         full_report(ProbSequence.explicit([0.9], tail=0.95), 1, 2, method="analytic")

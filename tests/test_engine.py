@@ -1,5 +1,6 @@
 """Sampling engine: draw order, nesting, determinism, rasters, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -232,6 +233,83 @@ def test_sample_counts_tailless_prefix_shorter_than_depth():
         assert _outcome(lambda: sample_counts(params, stream)) == want
         seen.add("invalid" if isinstance(want, tuple) else "died out")
     assert seen == {"died out", "invalid"}
+
+
+# -- level ordering against the reference lexsort path ----------------------------
+
+
+def _reference_generate(params, stream=0):
+    """Levels of ``generate`` by the original path: coordinate columns, lexsort."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([params.seed, stream], dtype=np.uint64))
+    )
+    n, m = params.n, params.m
+    block = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.uint64)
+    levels = [np.zeros((1, n), dtype=np.uint64)]
+    for k in range(1, params.depth + 1):
+        parents = levels[-1]
+        candidates = parents.shape[0] * m**n
+        if candidates == 0:
+            levels.append(np.zeros((0, n), dtype=np.uint64))
+            continue
+        if candidates > params.cell_budget:
+            raise BudgetExceededError(k, candidates, params.cell_budget)
+        children = (parents[:, None, :] * np.uint64(m) + block[None, :, :]).reshape(-1, n)
+        kept = children[rng.random(candidates) < params.seq.p_at(k)]
+        order = np.lexsort(tuple(kept[:, axis] for axis in range(n - 1, -1, -1)))
+        levels.append(kept[order])
+    return levels
+
+
+def _assert_levels_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.uint64
+        assert np.array_equal(a, b)
+
+
+def _assert_sorted_and_nested(r):
+    m = r.params.m
+    for k in range(1, r.params.depth + 1):
+        cells = [tuple(row) for row in r.levels[k].tolist()]
+        assert all(a < b for a, b in zip(cells, cells[1:])), f"level {k} not strictly sorted"
+        parents = {tuple(row) for row in r.levels[k - 1].tolist()}
+        assert all(tuple(x // m for x in c) in parents for c in cells), f"level {k} not nested"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    m=st.sampled_from([2, 3, 4, 10]),
+    depth=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    p=st.floats(0.01, 0.99),
+)
+def test_generate_matches_reference_ordering(n, m, depth, seed, stream, p):
+    params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=seed, cell_budget=1 << 14)
+    try:
+        want = _reference_generate(params, stream)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as err:
+            generate(params, stream)
+        assert (err.value.level, err.value.count) == (exc.level, exc.count)
+        return
+    _assert_levels_equal(generate(params, stream).levels, want)
+
+
+@pytest.mark.parametrize(
+    "n, m, depth, p, first_wide",
+    [(2, 10, 10, 0.02, 10), (3, 4, 12, 0.02, 11)],
+)
+def test_levels_past_64_bit_keys_match_reference(n, m, depth, p, first_wide):
+    # m^(n k) > 2^64 from level first_wide on: no packed key fits there
+    assert m ** (n * first_wide) > 2**64 >= m ** (n * (first_wide - 1))
+    params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=0)
+    r = generate(params)
+    assert r.counts[first_wide] > 1  # the wide levels are alive and ordered
+    _assert_levels_equal(r.levels, _reference_generate(params))
+    _assert_sorted_and_nested(r)
 
 
 # -- budget and parameter validation ----------------------------------------------
