@@ -34,7 +34,6 @@ from .engine import (
 from .errors import (
     AllExtinctError,
     BudgetExceededError,
-    FormulaSingularityError,
     InternalInvariantError,
     InvalidParamsError,
     PercLabError,
@@ -118,7 +117,6 @@ __all__ = [
     "PercLabError",
     "InvalidParamsError",
     "WindowTooSmallError",
-    "FormulaSingularityError",
     "BudgetExceededError",
     "AllExtinctError",
     "UnsupportedDimensionError",

@@ -79,6 +79,13 @@ _DEFAULTS: dict = {
     "format": None,
 }
 
+# fields a config file may give as a number or a numeric string, never as an
+# array or object
+_NUMERIC_FIELDS = (
+    "p", "a", "tail", "n", "m", "depth", "seed", "stream", "replicates",
+    "level", "budget", "threads", "max_attempts", "r", "l", "terms",
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -229,6 +236,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key in _NUMERIC_FIELDS:
+        if isinstance(cfg[key], (list, dict)):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
     if cfg.get("prefix") is not None:
         cfg["prefix"] = _parse_float_list(cfg["prefix"])
     if cfg.get("window") is not None:

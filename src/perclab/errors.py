@@ -13,20 +13,6 @@ class WindowTooSmallError(InvalidParamsError):
     """Windowed evaluation was asked for on a window spanning fewer than 8 levels."""
 
 
-class FormulaSingularityError(PercLabError):
-    """A windowed dimension term hit a non-positive denominator.
-
-    Carries the subdivision level whose probability produced the singular term.
-    """
-
-    def __init__(self, k: int, detail: str = ""):
-        self.k = k
-        msg = f"formula singularity at level k={k}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 class BudgetExceededError(PercLabError):
     """Cell expansion passed the configured budget.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dimensions import expected_measure_limit
 from .engine import PercolationParams, level_probs, sample_counts
@@ -61,16 +61,7 @@ class EstimateReport:
     theory_limit: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "replicates": self.replicates,
-            "depth": self.depth,
-            "theory": self.theory,
-            "z_score": self.z_score,
-            "theory_limit": self.theory_limit,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -93,17 +84,7 @@ class BoxFitReport:
     slope_std_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "levels_used": list(self.levels_used),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "per_level_counts": list(self.per_level_counts),
-            "conditioned_on_survival": self.conditioned_on_survival,
-            "attempts": self.attempts,
-            "replicates_used": self.replicates_used,
-            "slope_std_error": self.slope_std_error,
-        }
+        return asdict(self)
 
 
 def branching_extinction_prob(

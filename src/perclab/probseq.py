@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -338,15 +338,7 @@ class ClassifierReport:
     beta_diverged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "alpha_method": self.alpha_method,
-            "beta_method": self.beta_method,
-            "survival_class": self.survival_class,
-            "interior_class": self.interior_class,
-            "beta_diverged": self.beta_diverged,
-        }
+        return asdict(self)
 
 
 def resolve_method(seq: ProbSequence, method: str) -> str:
@@ -393,11 +385,22 @@ def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto
     if resolved == ANALYTIC:
         return seq.p ** seq.exponents.cesaro_limit(), ANALYTIC
     _require_span(window)
+    return _windowed_alpha(seq.cumulative_log(window[1]), window), WINDOWED
+
+
+def _tail_means(cum: np.ndarray, k_lo: int, lengths: np.ndarray) -> np.ndarray:
+    """Mean of ln p_l over (k_lo, k_lo + t] for each t in ``lengths``.
+
+    ``cum`` is a :meth:`ProbSequence.cumulative_log` table reaching at least
+    k_lo + max(lengths).  Every windowed dimension is an extremum of these
+    means, so the head below k_lo never enters any of them.
+    """
+    return (cum[k_lo + lengths] - cum[k_lo]) / lengths
+
+
+def _windowed_alpha(cum: np.ndarray, window: tuple[int, int]) -> float:
     k_lo, k_hi = window
-    cum = seq.cumulative_log(k_hi)
-    spans = np.arange(1, k_hi - k_lo + 1, dtype=float)
-    means = (cum[k_lo + 1 :] - cum[k_lo]) / spans
-    return float(np.exp(means.min())), WINDOWED
+    return float(np.exp(_tail_means(cum, k_lo, np.arange(1, k_hi - k_lo + 1)).min()))
 
 
 def beta_partial_log_sum(seq: ProbSequence, n: int, m: int, k_hi: int) -> float:

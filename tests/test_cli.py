@@ -290,6 +290,23 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert rc == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("dims", {"family": "mfp", "p": [0.5]}),
+        ("dims", {"family": "mfp", "p": 0.5, "n": [2]}),
+        ("dims", {"family": "power_head", "p": 0.5, "a": [2]}),
+        ("survival", {"family": "mfp", "p": 0.8, "depth": {}, "replicates": 100}),
+    ],
+)
+def test_config_array_or_object_in_numeric_field_exit_2(tmp_path, capsys, command, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert json.loads(err.splitlines()[0])["error"] == "ConfigError"
+
+
 # -- determinism ---------------------------------------------------------------------------
 
 

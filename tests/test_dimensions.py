@@ -2,13 +2,13 @@
 
 import math
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import catalog_seqs, geometries
 from perclab import (
     ExponentSpec,
-    FormulaSingularityError,
     ProbSequence,
     alpha_estimate,
     dim_assouad,
@@ -202,14 +202,79 @@ def test_power_family_exponent_reduction_two_paths():
         assert abs(module_value - oracle) < 1e-9
 
 
-def test_packing_singularity_reports_level():
-    # p_300 = 1e-300 sits far below m^(-n*300), killing that term's denominator
-    prefix = [0.9] * 299 + [1e-300]
+# -- windowed tail means -----------------------------------------------------------
+
+
+def _ordered(rep, tol=1e-9):
+    h, p, a = rep.hausdorff, rep.packing, rep.assouad
+    return 0.0 <= h and h <= p + tol and p <= a + tol and a <= rep.n + tol
+
+
+@pytest.mark.parametrize(
+    "seq, n, m, window, want",
+    [
+        # head below k_lo dropped by every limit, not just Hausdorff
+        (ProbSequence.power_telescope(0.1, 0.5), 1, 2, (16, 64), None),
+        (ProbSequence.power(0.1, ExponentSpec.explicit_list([5.0], 0.01)), 1, 2, (16, 64),
+         1 + 0.01 * math.log2(0.1)),
+        # no denominator left to push packing above Assouad on a short window
+        (ProbSequence.mfp(0.5), 2, 2, (1, 9), 1.0),
+        # the one table reaches k_hi and no further
+        (ProbSequence.explicit([0.9] * 512), 1, 2, (64, 512), 1 + math.log2(0.9)),
+    ],
+)
+def test_windowed_report_small_windows_and_short_prefixes(seq, n, m, window, want):
+    rep = full_report(seq, n, m, window=window, method="windowed")
+    assert _ordered(rep)
+    if want is not None:
+        for value in (rep.hausdorff, rep.packing, rep.assouad):
+            assert value == pytest.approx(want, abs=1e-12)
+
+
+def test_windowed_packing_equals_hausdorff_past_the_prefix():
+    seq = ProbSequence.explicit([0.3, 0.5], tail=0.7)
+    rep = full_report(seq, 1, 2)
+    assert rep.packing == pytest.approx(rep.hausdorff, abs=1e-12)
+    assert rep.packing == pytest.approx(1 + math.log2(0.7), abs=1e-12)
+    rep = full_report(ProbSequence.explicit([0.3, 0.5], tail=1.0), 1, 2)
+    assert rep.hausdorff == rep.packing == rep.assouad == 1.0
+
+
+def test_windowed_limsups_read_the_deeper_half_off_monotone():
+    # p_2 alone is high: packing reads only (1, k] with k >= 9, and the best
+    # sub-window for Assouad is packing's (1, 9], so A = P exactly
     with pytest.warns(UserWarning):
-        seq = ProbSequence.explicit(prefix, tail=0.9, strict=False)
-    with pytest.raises(FormulaSingularityError) as err:
-        dim_packing(seq, 1, 2, window=WINDOW)
-    assert err.value.k == 300
+        seq = ProbSequence.explicit([0.5, 0.99] + [0.9] * 7, tail=0.5, strict=False)
+    rep = full_report(seq, 1, 2, window=(1, 17), method="windowed")
+    assert rep.packing == pytest.approx(1 + (math.log(0.99) + 7 * math.log(0.9)) / (8 * math.log(2)), abs=1e-12)
+    assert rep.assouad == rep.packing
+    assert _ordered(rep)
+
+
+def test_windowed_report_reads_one_log_prefix_table(monkeypatch):
+    calls = []
+    original = ProbSequence.cumulative_log
+
+    def counted(self, k_hi):
+        calls.append(k_hi)
+        return original(self, k_hi)
+
+    monkeypatch.setattr(ProbSequence, "cumulative_log", counted)
+    full_report(ProbSequence.power_head(0.6, 2.0), 2, 3, window=(10, 90), method="windowed")
+    assert calls == [90]
+
+
+@st.composite
+def windows(draw):
+    k_lo = draw(st.integers(1, 200))
+    return k_lo, k_lo + draw(st.integers(8, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=catalog_seqs(), nm=geometries(), window=windows())
+def test_ordering_invariant_windowed(seq, nm, window):
+    n, m = nm
+    assert _ordered(full_report(seq, n, m, window=window, method="windowed"))
 
 
 # -- invariants over random catalog configurations -------------------------------

@@ -37,3 +37,17 @@ def test_script_runs(tmp_path, name, args, made):
     assert proc.stdout
     if made is not None:
         assert (tmp_path / made).stat().st_size > 0
+
+
+def test_dimension_table_windowed_rows_match_analytic(tmp_path):
+    # the script's purpose: both methods print the same row for every family
+    proc = run_script("dimension_table.py", tmp_path, "--mc-reps", "3", "--mc-depth", "8")
+    assert proc.returncode == 0, proc.stderr
+    rows = {}
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 6 and fields[1] in ("analytic", "windowed"):
+            rows.setdefault(fields[0], {})[fields[1]] = fields[2:]
+    assert set(rows) == {"mfp", "power_head", "power_telescope"}
+    for family, by_method in rows.items():
+        assert by_method["windowed"] == by_method["analytic"], family
