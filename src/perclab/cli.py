@@ -239,6 +239,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in _NUMERIC_FIELDS:
         if isinstance(cfg[key], (list, dict)):
             raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    if cfg.get("out") is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path string, got {cfg['out']!r}")
     if cfg.get("prefix") is not None:
         cfg["prefix"] = _parse_float_list(cfg["prefix"])
     if cfg.get("window") is not None:

@@ -16,21 +16,10 @@ limsup.  All five dimensions are then extrema of Cesaro means of ln p_k, and
 a finite head shifts those means by O(1/k) only.
 
 Every function returns the deterministic almost-sure value; nothing here
-samples.  Catalog families get the closed forms; explicit sequences are
-evaluated over a finite window (k_lo, k_hi] of levels and labeled
-``windowed``.  The windowed values all read one log-prefix table through
-means of ln p_l over sub-windows of (k_lo, k_hi], so the head below k_lo
-never enters:
-
-    hausdorff   the minimum over k in (k_lo, k_hi] of the mean over (k_lo, k]
-    packing     the maximum of those means over the deeper half of the window
-    assouad     the maximum over every sub-window of (k_lo, k_hi] at least as
-                long as packing's shortest
-
-Assouad's candidates include packing's, which are a subset of Hausdorff's,
-so H <= P <= A holds by construction.  The extrema are exact for the
-monotone tails of the catalog families and an honest, labeled approximation
-otherwise.
+samples.  Each one reads one :class:`perclab.probseq._Limits` evaluation:
+closed forms for the catalog families, and for explicit sequences extrema of
+means over one finite window (k_lo, k_hi] of levels, labeled ``windowed``.
+The evaluator states both rules.
 """
 
 from __future__ import annotations
@@ -38,22 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import InternalInvariantError, InvalidParamsError
-from .probseq import (
-    ANALYTIC,
-    DEFAULT_WINDOW,
-    ProbSequence,
-    _require_span,
-    _tail_means,
-    _windowed_alpha,
-    alpha_estimate,
-    check_window,
-    resolve_method,
-)
-
-MEASURE_LOG_FLOOR = -700.0
+from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _Limits
 
 
 @dataclass(frozen=True)
@@ -76,27 +51,14 @@ class DimensionReport:
         return asdict(self)
 
 
-def expected_measure(
-    seq: ProbSequence, n: int, m: int, k_max: int | None = None, method: str = "auto"
-) -> float:
+def expected_measure(seq: ProbSequence, n: int, m: int, method: str = "auto") -> float:
     """Expected Lebesgue measure of the limit set, prod_k p_k.
 
     Closed form: p^S(1) with S(1) = sum_k a_k, which diverges (product 0)
     unless the exponents telescope to exactly 1 (product p).  The windowed
-    fallback exponentiates the log prefix product at k_max and declares 0
-    once that drops below the underflow floor.
+    value is the prefix product at the default window's k_hi.
     """
-    resolved = resolve_method(seq, method)
-    if resolved == ANALYTIC:
-        return seq.p ** seq.exponents.series(1)
-    k_max = int(k_max if k_max is not None else DEFAULT_WINDOW[1])
-    if k_max < 1:
-        raise InvalidParamsError("k_max must be >= 1")
-    return _measure_from_log(seq.log_prefix_product(k_max))
-
-
-def _measure_from_log(lp: float) -> float:
-    return 0.0 if lp < MEASURE_LOG_FLOOR else math.exp(lp)
+    return _Limits(seq, DEFAULT_WINDOW, method).measure
 
 
 def expected_measure_limit(seq: ProbSequence) -> float | None:
@@ -107,9 +69,8 @@ def expected_measure_limit(seq: ProbSequence) -> float | None:
         return None
     if seq.tail < 1.0:
         return 0.0
-    if not seq.prefix:
-        return 1.0
-    return _measure_from_log(sum(math.log(v) for v in seq.prefix))
+    log_measure = sum(math.log(v) for v in seq.prefix)
+    return 0.0 if log_measure < -LOG_UNDERFLOW else math.exp(log_measure)
 
 
 def _clamp(raw: float, n: int) -> tuple[float, bool]:
@@ -129,8 +90,7 @@ def dim_hausdorff(
     alpha < m^(-n) means the set is almost surely empty; the raw value would
     be negative and the full report flags it degenerate instead.
     """
-    alpha, _ = alpha_estimate(seq, window, method)
-    return _clamp(_hausdorff_raw(alpha, n, m), n)[0]
+    return full_report(seq, n, m, window, method).hausdorff
 
 
 def _hausdorff_raw(alpha: float, n: int, m: int) -> float:
@@ -146,32 +106,9 @@ def dim_packing(
 
     The paper's quotient form divides by 1 + ln p_{k+1} / (n (k+1) ln m),
     which tends to 1 because p_k is bounded below; only the limsup of the
-    Cesaro means is left.  The windowed path takes the maximum of the means
-    of ln p_l over (k_lo, k] for k in the deeper half of the window: a limsup
-    is a tail property, and the shallow half carries an O(1/(k - k_lo))
-    transient that would otherwise dominate the estimate.
+    Cesaro means is left.
     """
-    window = check_window(window)
-    if resolve_method(seq, method) == ANALYTIC:
-        return _clamp(_packing_analytic(seq, n, m), n)[0]
-    _require_span(window)
-    return _clamp(_packing_windowed(seq.cumulative_log(window[1]), n, m, window), n)[0]
-
-
-def _packing_analytic(seq, n, m) -> float:
-    # Cesaro means of the exponents settle at c
-    return n + seq.exponents.cesaro_limit() * math.log(seq.p) / math.log(m)
-
-
-def _shortest_tail(window: tuple[int, int]) -> int:
-    """Length of the shortest sub-window the limsups read: half the span."""
-    return (window[1] - window[0]) // 2
-
-
-def _packing_windowed(cum, n, m, window) -> float:
-    k_lo, k_hi = window
-    lengths = np.arange(_shortest_tail(window), k_hi - k_lo + 1)
-    return n + float(_tail_means(cum, k_lo, lengths).max()) / math.log(m)
+    return full_report(seq, n, m, window, method).packing
 
 
 def dim_assouad(
@@ -180,32 +117,9 @@ def dim_assouad(
     """Almost-sure Assouad dimension, clamped to [0, n].
 
     The formula takes the sup over start levels j of the mean of ln p_l over
-    (j, j + t], then the limsup over t.  Every representable sequence is
-    non-decreasing or eventually constant, so as t grows that sup settles at
-    ln lim p_k, the limit of packing's Cesaro means too, and the closed forms
-    agree.  The windowed path takes the maximum of the means over every
-    sub-window (j, j + t] of (k_lo, k_hi] with t at least half the span.
-    The sub-windows starting at k_lo are packing's candidates, computed by
-    the same expression, so the windowed Assouad value is never below the
-    windowed packing value.
+    (j, j + t], then the limsup over t.
     """
-    window = check_window(window)
-    if resolve_method(seq, method) == ANALYTIC:
-        # identical closed forms to packing for every catalog family
-        return _clamp(_packing_analytic(seq, n, m), n)[0]
-    _require_span(window)
-    return _clamp(_assouad_windowed(seq.cumulative_log(window[1]), n, m, window), n)[0]
-
-
-def _assouad_windowed(cum, n, m, window) -> float:
-    # about span^2 / 8 means: one pass per start level j, lengths t >= span / 2
-    k_lo, k_hi = window
-    t_lo = _shortest_tail(window)
-    best = max(
-        float(_tail_means(cum, j, np.arange(t_lo, k_hi - j + 1)).max())
-        for j in range(k_lo, k_hi - t_lo + 1)
-    )
-    return n + best / math.log(m)
+    return full_report(seq, n, m, window, method).assouad
 
 
 def full_report(
@@ -213,7 +127,7 @@ def full_report(
 ) -> DimensionReport:
     """Assemble every dimension plus expected volume, with consistency checks.
 
-    A windowed report reads one log-prefix table through k_hi.  Enforced
+    Every value comes from one evaluation of the sequence's limits.  Enforced
     identities: box_lower = hausdorff, box_upper = packing.  The ordering
     0 <= H <= P <= A <= n is verified post-computation, and for analytic
     reports so is the equivalence (expected volume > 0 iff H = n);
@@ -221,29 +135,17 @@ def full_report(
     """
     if n < 1 or m < 2:
         raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    window = check_window(window)
-    resolved = resolve_method(seq, method)
-    if resolved == ANALYTIC:
-        alpha, _ = alpha_estimate(seq, window, resolved)
-        packing_raw = assouad_raw = _packing_analytic(seq, n, m)
-        measure = expected_measure(seq, n, m, method=resolved)
-    else:
-        _require_span(window)
-        cum = seq.cumulative_log(window[1])
-        alpha = _windowed_alpha(cum, window)
-        packing_raw = _packing_windowed(cum, n, m, window)
-        assouad_raw = _assouad_windowed(cum, n, m, window)
-        measure = _measure_from_log(float(cum[window[1]]))
-
-    hausdorff, degenerate = _clamp(_hausdorff_raw(alpha, n, m), n)
-    packing = _clamp(packing_raw, n)[0]
-    assouad = _clamp(assouad_raw, n)[0]
+    limits = _Limits(seq, window, method)
+    hausdorff, degenerate = _clamp(_hausdorff_raw(limits.alpha, n, m), n)
+    packing = _clamp(n + limits.packing_log / math.log(m), n)[0]
+    assouad = _clamp(n + limits.assouad_log / math.log(m), n)[0]
+    measure = limits.measure
     # exact but for the rounding of Hausdorff's exp/log round trip through alpha
     if hausdorff > packing + 1e-9 or packing > assouad + 1e-9:
         raise InternalInvariantError(
             f"dimension ordering violated: H={hausdorff!r} P={packing!r} A={assouad!r}"
         )
-    if resolved == ANALYTIC:
+    if limits.method == ANALYTIC:
         if measure > 0.0 and abs(hausdorff - n) > 1e-9:
             raise InternalInvariantError(
                 f"positive expected measure {measure!r} with hausdorff {hausdorff!r} != n={n}"
@@ -260,8 +162,8 @@ def full_report(
         box_lower=hausdorff,
         box_upper=packing,
         expected_measure=measure,
-        method=resolved,
-        window=None if resolved == ANALYTIC else window,
+        method=limits.method,
+        window=None if limits.method == ANALYTIC else limits.window,
         n=n,
         m=m,
         degenerate=degenerate,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,10 @@ INTERIOR_NONEMPTY = "non_empty_interior"
 DEFAULT_WINDOW = (64, 512)
 MIN_WINDOW_SPAN = 8
 
-# Partial sums of m^(nk) * (-ln p_k) beyond this make exp underflow to 0 in
-# double precision, so beta is declared divergent (= 0).
-BETA_LOG_DIVERGENCE = 700.0
+# exp(-x) underflows to 0 in double precision for x beyond this: a log
+# product below -LOG_UNDERFLOW reads as 0, and so does beta once its partial
+# sums of m^(nk) * (-ln p_k) pass it (declared divergent).
+LOG_UNDERFLOW = 700.0
 
 _KINDS = {KIND_EXPLICIT, KIND_MFP, KIND_POWER, KIND_POWER_HEAD, KIND_POWER_TELESCOPE}
 
@@ -370,37 +372,91 @@ def _require_span(window: tuple[int, int]):
         )
 
 
-def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto") -> tuple[float, str]:
-    """The liminf geometric-mean statistic alpha, with the method used.
+class _Limits:
+    """Every tail limit of one sequence, read by one method over one window.
 
-    Closed form: p^c with c the exponents' Cesaro limit (1, the tail, or 0
-    for telescoping gaps).  The windowed fallback takes the minimum over k in
-    (k_lo, k_hi] of the geometric mean of p_l for l in (k_lo, k].
-    Discarding the head below k_lo is sound because a liminf is a tail
-    property; the minimum under-approximates the true liminf on oscillating
-    tails, which is why the closed forms take precedence for the catalog.
+    The evaluator behind :func:`alpha_estimate`, :func:`classify` and every
+    function in :mod:`perclab.dimensions`.  It checks the window and resolves
+    the method once.  Fields, over the Cesaro means of ln p_k:
+
+        alpha         exp of the liminf of the means over (0, k]
+        packing_log   the limsup of the means over (0, k]
+        assouad_log   the limsup over t of the sup over j of the mean over (j, j + t]
+        measure       prod_k p_k, 0 once its log is below -LOG_UNDERFLOW
+
+    ``analytic`` reads the exponent rule p_k = p^(a_k) with Cesaro limit c:
+    alpha = p^c, packing_log = assouad_log = c ln p (every representable
+    sequence is non-decreasing or eventually constant, so the sup over
+    windows settles at the same limit), and measure = p^S(1).
+
+    ``windowed`` reads one :meth:`ProbSequence.cumulative_log` table through
+    k_hi and takes extrema of means of ln p_l over sub-windows of
+    (k_lo, k_hi], so the head below k_lo never enters:
+
+        alpha         the minimum over k in (k_lo, k_hi] of the mean over (k_lo, k]
+        packing_log   the maximum of those means for k in the deeper half of
+                      the window: a limsup is a tail property, and the shallow
+                      half carries an O(1/(k - k_lo)) transient
+        assouad_log   the maximum over every sub-window of (k_lo, k_hi] at least
+                      half the span long
+        measure       the prefix product at k_hi
+
+    Assouad's candidates include packing's, which are a subset of alpha's,
+    so H <= P <= A holds by construction.  The extrema are exact for the
+    monotone tails of the catalog families and an honest, labeled
+    approximation otherwise; the minimum under-approximates the liminf on
+    oscillating tails, which is why ``auto`` takes the closed forms for the
+    catalog.  The windowed Assouad scan costs O(span^2) and runs only when
+    ``assouad_log`` is read.
     """
-    window = check_window(window)
-    resolved = resolve_method(seq, method)
-    if resolved == ANALYTIC:
-        return seq.p ** seq.exponents.cesaro_limit(), ANALYTIC
-    _require_span(window)
-    return _windowed_alpha(seq.cumulative_log(window[1]), window), WINDOWED
+
+    def __init__(self, seq: ProbSequence, window, method: str):
+        self.window = check_window(window)
+        self.method = resolve_method(seq, method)
+        if self.method == ANALYTIC:
+            c = seq.exponents.cesaro_limit()
+            self.alpha = seq.p**c
+            self.packing_log = self.assouad_log = c * math.log(seq.p)
+            self.measure = seq.p ** seq.exponents.series(1)
+            return
+        _require_span(self.window)
+        k_lo, k_hi = self.window
+        self._cum = seq.cumulative_log(k_hi)
+        span = k_hi - k_lo
+        means = _tail_means(self._cum, k_lo, np.arange(1, span + 1))
+        self.alpha = float(np.exp(means.min()))
+        self.packing_log = float(means[span // 2 - 1 :].max())
+        log_measure = float(self._cum[k_hi])
+        self.measure = 0.0 if log_measure < -LOG_UNDERFLOW else math.exp(log_measure)
+
+    @cached_property
+    def assouad_log(self) -> float:
+        # about span^2 / 8 means: one pass per start level j, lengths t >= span / 2
+        k_lo, k_hi = self.window
+        t_lo = (k_hi - k_lo) // 2
+        return max(
+            float(_tail_means(self._cum, j, np.arange(t_lo, k_hi - j + 1)).max())
+            for j in range(k_lo, k_hi - t_lo + 1)
+        )
 
 
 def _tail_means(cum: np.ndarray, k_lo: int, lengths: np.ndarray) -> np.ndarray:
     """Mean of ln p_l over (k_lo, k_lo + t] for each t in ``lengths``.
 
     ``cum`` is a :meth:`ProbSequence.cumulative_log` table reaching at least
-    k_lo + max(lengths).  Every windowed dimension is an extremum of these
-    means, so the head below k_lo never enters any of them.
+    k_lo + max(lengths).
     """
     return (cum[k_lo + lengths] - cum[k_lo]) / lengths
 
 
-def _windowed_alpha(cum: np.ndarray, window: tuple[int, int]) -> float:
-    k_lo, k_hi = window
-    return float(np.exp(_tail_means(cum, k_lo, np.arange(1, k_hi - k_lo + 1)).min()))
+def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto") -> tuple[float, str]:
+    """The liminf geometric-mean statistic alpha, with the method used.
+
+    Read from :class:`_Limits`, which states the closed form and the
+    windowed rule.
+    """
+    limits = _Limits(seq, window, method)
+    return limits.alpha, limits.method
 
 
 def beta_partial_log_sum(seq: ProbSequence, n: int, m: int, k_hi: int) -> float:
@@ -416,7 +472,7 @@ def beta_partial_log_sum(seq: ProbSequence, n: int, m: int, k_hi: int) -> float:
         if lp == 0.0:
             continue
         s += math.exp(k * log_mn + math.log(-lp))
-        if s > BETA_LOG_DIVERGENCE:
+        if s > LOG_UNDERFLOW:
             break
     return s
 
@@ -438,7 +494,7 @@ def beta_estimate(
         return seq.p**s, ANALYTIC, math.isinf(s)
     _require_span(window)
     s = beta_partial_log_sum(seq, n, m, window[1])
-    if s > BETA_LOG_DIVERGENCE:
+    if s > LOG_UNDERFLOW:
         return 0.0, WINDOWED, True
     return math.exp(-s), WINDOWED, False
 
@@ -453,15 +509,15 @@ def classify(
     """
     if n < 1 or m < 2:
         raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    alpha, a_method = alpha_estimate(seq, window, method)
+    limits = _Limits(seq, window, method)
     beta, b_method, diverged = beta_estimate(seq, n, m, window, method)
     threshold = float(m) ** (-n)
     return ClassifierReport(
-        alpha=alpha,
+        alpha=limits.alpha,
         beta=beta,
-        alpha_method=a_method,
+        alpha_method=limits.method,
         beta_method=b_method,
-        survival_class=SURVIVAL_POSITIVE if alpha > threshold else SURVIVAL_EMPTY,
+        survival_class=SURVIVAL_POSITIVE if limits.alpha > threshold else SURVIVAL_EMPTY,
         interior_class=INTERIOR_NONEMPTY if beta > 0.0 else INTERIOR_EMPTY,
         beta_diverged=diverged,
     )

@@ -307,6 +307,17 @@ def test_config_array_or_object_in_numeric_field_exit_2(tmp_path, capsys, comman
     assert json.loads(err.splitlines()[0])["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["dims", "render"])
+@pytest.mark.parametrize("out", [["x.json"], 5, {"path": "x.json"}])
+def test_config_non_string_out_exit_2(tmp_path, capsys, command, out):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "mfp", "p": 0.5, "out": out}))
+    rc, stdout, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 # -- determinism ---------------------------------------------------------------------------
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from conftest import catalog_seqs, geometries
 from perclab import (
     ExponentSpec,
+    InvalidParamsError,
     ProbSequence,
     alpha_estimate,
+    classify,
     dim_assouad,
     dim_hausdorff,
     dim_packing,
@@ -57,6 +59,13 @@ def test_hausdorff_telescope_is_full():
 
 def test_hausdorff_all_ones_windowed():
     assert dim_hausdorff(ProbSequence.explicit([], tail=1.0), 3, 2) == 3.0
+
+
+@pytest.mark.parametrize("dim", [dim_hausdorff, dim_packing, dim_assouad])
+@pytest.mark.parametrize("n, m", [(1, 1), (0, 2)])
+def test_single_dimension_rejects_invalid_geometry(dim, n, m):
+    with pytest.raises(InvalidParamsError):
+        dim(ProbSequence.mfp(0.7), n, m)
 
 
 def test_packing_mfp():
@@ -251,7 +260,16 @@ def test_windowed_limsups_read_the_deeper_half_off_monotone():
     assert _ordered(rep)
 
 
-def test_windowed_report_reads_one_log_prefix_table(monkeypatch):
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda seq, window: full_report(seq, 2, 3, window=window, method="windowed"),
+        lambda seq, window: classify(seq, 2, 3, window=window, method="windowed"),
+        lambda seq, window: alpha_estimate(seq, window=window, method="windowed"),
+    ],
+    ids=["full_report", "classify", "alpha_estimate"],
+)
+def test_windowed_report_reads_one_log_prefix_table(monkeypatch, evaluate):
     calls = []
     original = ProbSequence.cumulative_log
 
@@ -260,7 +278,7 @@ def test_windowed_report_reads_one_log_prefix_table(monkeypatch):
         return original(self, k_hi)
 
     monkeypatch.setattr(ProbSequence, "cumulative_log", counted)
-    full_report(ProbSequence.power_head(0.6, 2.0), 2, 3, window=(10, 90), method="windowed")
+    evaluate(ProbSequence.power_head(0.6, 2.0), (10, 90))
     assert calls == [90]
 
 
@@ -275,6 +293,23 @@ def windows(draw):
 def test_ordering_invariant_windowed(seq, nm, window):
     n, m = nm
     assert _ordered(full_report(seq, n, m, window=window, method="windowed"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seq=catalog_seqs(),
+    nm=geometries(),
+    window=windows(),
+    method=st.sampled_from(["analytic", "windowed"]),
+)
+def test_every_reader_matches_the_full_report(seq, nm, window, method):
+    n, m = nm
+    rep = full_report(seq, n, m, window=window, method=method)
+    assert dim_hausdorff(seq, n, m, window=window, method=method) == rep.hausdorff
+    assert dim_packing(seq, n, m, window=window, method=method) == rep.packing
+    assert dim_assouad(seq, n, m, window=window, method=method) == rep.assouad
+    alpha = classify(seq, n, m, window=window, method=method).alpha
+    assert alpha_estimate(seq, window=window, method=method) == (alpha, rep.method)
 
 
 # -- invariants over random catalog configurations -------------------------------

@@ -51,3 +51,13 @@ def test_dimension_table_windowed_rows_match_analytic(tmp_path):
     assert set(rows) == {"mfp", "power_head", "power_telescope"}
     for family, by_method in rows.items():
         assert by_method["windowed"] == by_method["analytic"], family
+
+
+def test_analytic_probe_prints_one_line_per_call(tmp_path):
+    proc = run_script("analytic_probe.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # 76 sequences, each with 360 per-geometry calls, 15 alphas, 8 measures and one limit
+    assert len(lines) == 76 * 384
+    assert lines[0].startswith("('mfp(1e-300)', 'full_report', 1, 2, (64, 512), 'auto', DimensionReport(")
+    assert any("WindowTooSmallError" in line for line in lines)
