@@ -59,7 +59,6 @@ from .probseq import (
 )
 from .witness import (
     Box,
-    SampledComponent,
     WitnessComponent,
     WitnessReport,
     WitnessSpec,
@@ -69,7 +68,6 @@ from .witness import (
     build_union_witness,
     build_witness,
     format_witness_ledger,
-    sample_witness,
 )
 
 __all__ = [
@@ -105,14 +103,12 @@ __all__ = [
     "WitnessSpec",
     "WitnessReport",
     "WitnessComponent",
-    "SampledComponent",
     "Box",
     "build_witness",
     "build_fractional_dim_witness",
     "build_integer_dim_witness",
     "build_positive_measure_witness",
     "build_union_witness",
-    "sample_witness",
     "format_witness_ledger",
     "PercLabError",
     "InvalidParamsError",

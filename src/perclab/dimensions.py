@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InternalInvariantError, InvalidParamsError
-from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _Limits
+from .errors import InternalInvariantError
+from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _check_geometry, _Limits
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ def expected_measure(seq: ProbSequence, n: int, m: int, method: str = "auto") ->
 
     Closed form: p^S(1) with S(1) = sum_k a_k, which diverges (product 0)
     unless the exponents telescope to exactly 1 (product p).  The windowed
-    value is the prefix product at the default window's k_hi.
+    value is the prefix product at the default window's k_hi.  The value does
+    not depend on (n, m), which are checked as in :func:`full_report`.
     """
+    _check_geometry(n, m)
     return _Limits(seq, DEFAULT_WINDOW, method).measure
 
 
@@ -133,8 +135,7 @@ def full_report(
     reports so is the equivalence (expected volume > 0 iff H = n);
     violations raise :class:`InternalInvariantError`.
     """
-    if n < 1 or m < 2:
-        raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    _check_geometry(n, m)
     limits = _Limits(seq, window, method)
     hausdorff, degenerate = _clamp(_hausdorff_raw(limits.alpha, n, m), n)
     packing = _clamp(n + limits.packing_log / math.log(m), n)[0]

@@ -43,7 +43,7 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Fixed mixing for derived seeds (sweep points, witness components)."""
+    """Fixed mixing for derived seeds (sweep points)."""
     return splitmix64(((seed & _MASK64) + index) & _MASK64)
 
 
@@ -191,16 +191,35 @@ def _next_level_lexsort(parents, block, m, keep) -> np.ndarray:
     return kept[np.lexsort(tuple(kept[:, axis] for axis in range(n - 1, -1, -1)))]
 
 
-def generate(params: PercolationParams, stream: int = 0) -> Realization:
-    """Sample one realization level by level.
+def _draw_levels(params: PercolationParams, stream: int, probs: tuple[float, ...]):
+    """Yield (keep mask, kept count) for levels 1, 2, ... of one realization.
 
-    Round k expands each surviving parent into its m^n children (parents in
-    sorted order, children in digit order), draws one uniform per child from
-    the keyed stream in that same order, and keeps a child iff the variate
-    is strictly below p_k, so p_k = 1 always retains.  If the candidate
-    expansion at any level would exceed the cell budget, the run aborts with
-    the level and count (the pre-expansion check is deliberately
-    conservative: it also bounds peak memory).
+    The stream contract of :func:`generate` and :func:`sample_counts`.  Level
+    k has X_{k-1} * m^n candidates, parents in sorted order and children in
+    digit order.  If they would exceed the cell budget, the run aborts with
+    the level and count (conservative on purpose: it also bounds peak
+    memory).  Otherwise one uniform per candidate is drawn from the keyed
+    stream in that order, and a child is kept iff its variate is strictly
+    below p_k, so p_k = 1 always retains.  Past a tail-less prefix, ``p_at``
+    raises.  Drawing stops after the first empty level.
+    """
+    rng = stream_generator(params.seed, stream)
+    mn = params.m**params.n
+    kept = 1
+    for k in range(1, params.depth + 1):
+        candidates = kept * mn
+        if candidates > params.cell_budget:
+            raise BudgetExceededError(k, candidates, params.cell_budget)
+        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
+        keep = rng.random(candidates) < p
+        kept = int(np.count_nonzero(keep))
+        yield keep, kept
+        if kept == 0:
+            return
+
+
+def generate(params: PercolationParams, stream: int = 0) -> Realization:
+    """Sample one realization level by level, drawing through :func:`_draw_levels`.
 
     Each level is ordered through one row-major uint64 key per cell,
     sum_a X_a * (m^k)^(n-1-a): children are expanded as keys, selected,
@@ -209,31 +228,19 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     columns and orders them with ``np.lexsort`` instead.  Both give the same
     sorted level.
     """
-    probs = level_probs(params)
-    rng = stream_generator(params.seed, stream)
-    m, n, mn = params.m, params.n, params.m**params.n
-    if mn > params.cell_budget:
-        raise BudgetExceededError(1, mn, params.cell_budget)
-    block = _digit_block(m, n)
-
+    m, n = params.m, params.n
     levels: list[np.ndarray] = [np.zeros((1, n), dtype=np.uint64)]
-    empty = np.zeros((0, n), dtype=np.uint64)
-    for k in range(1, params.depth + 1):
-        parents = levels[-1]
-        if parents.shape[0] == 0:
-            levels.append(empty)
-            continue
-        candidates = parents.shape[0] * mn
-        if candidates > params.cell_budget:
-            raise BudgetExceededError(k, candidates, params.cell_budget)
-        # past a tail-less prefix, p_at raises as it does in sample_counts
-        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
-        keep = rng.random(candidates) < p
+    for k, (keep, _) in enumerate(_draw_levels(params, stream, level_probs(params)), 1):
+        if k == 1:
+            # only now that m^n candidates passed the budget: m^n may be ~2^63
+            block = _digit_block(m, n)
         side = m**k
         if side**n <= _KEY_LIMIT:
-            levels.append(_next_level_packed(parents, block, m, side, keep))
+            levels.append(_next_level_packed(levels[-1], block, m, side, keep))
         else:
-            levels.append(_next_level_lexsort(parents, block, m, keep))
+            levels.append(_next_level_lexsort(levels[-1], block, m, keep))
+    empty = np.zeros((0, n), dtype=np.uint64)
+    levels.extend([empty] * (params.depth + 1 - len(levels)))
     return Realization(params, levels, stream)
 
 
@@ -242,7 +249,7 @@ def level_probs(params: PercolationParams) -> tuple[float, ...]:
 
     A tail-less explicit sequence is defined only on its prefix.  The levels
     past it are left out, so a sampler fails on one of them only if it
-    reaches it with live cells, as :func:`generate` does.
+    reaches it with live cells.
     """
     seq = params.seq
     depth = params.depth
@@ -256,27 +263,17 @@ def sample_counts(
 ) -> list[int]:
     """Level counts X_0..X_K of ``generate(params, stream)``, without its cells.
 
-    Draws the same uniforms in the same order from the same keyed stream,
-    and raises the same errors at the same level, but keeps only how many
-    of each level's candidates fall below p_k: no coordinate is expanded,
-    sorted or stored.  Drawing stops once a level is empty.  ``probs`` is
-    ``level_probs(params)``; callers sampling many streams pass it once.
+    Draws through the same :func:`_draw_levels` loop, so it consumes the
+    same uniforms and raises the same errors at the same level, but keeps
+    only each level's kept count: no coordinate is expanded, sorted or
+    stored.  ``probs`` is ``level_probs(params)``; callers sampling many
+    streams pass it once.
     """
     if probs is None:
         probs = level_probs(params)
-    rng = stream_generator(params.seed, stream)
-    mn = params.m**params.n
     counts = [1]
-    for k in range(1, params.depth + 1):
-        candidates = counts[-1] * mn
-        if candidates == 0:
-            counts.extend([0] * (params.depth - k + 1))
-            break
-        if candidates > params.cell_budget:
-            raise BudgetExceededError(k, candidates, params.cell_budget)
-        # past a tail-less prefix, p_at raises as it does in generate
-        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
-        counts.append(int(np.count_nonzero(rng.random(candidates) < p)))
+    counts.extend(kept for _, kept in _draw_levels(params, stream, probs))
+    counts.extend([0] * (params.depth + 1 - len(counts)))
     return counts
 
 

@@ -365,6 +365,11 @@ def check_window(window) -> tuple[int, int]:
     return k_lo, k_hi
 
 
+def _check_geometry(n: int, m: int):
+    if n < 1 or m < 2:
+        raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+
+
 def _require_span(window: tuple[int, int]):
     if window[1] - window[0] < MIN_WINDOW_SPAN:
         raise WindowTooSmallError(
@@ -487,9 +492,12 @@ def beta_estimate(
     product at k_hi and flags divergence once the partial sums pass the
     double-precision underflow threshold.
     """
-    window = check_window(window)
-    resolved = resolve_method(seq, method)
-    if resolved == ANALYTIC:
+    return _beta(seq, n, m, check_window(window), resolve_method(seq, method))
+
+
+def _beta(seq: ProbSequence, n: int, m: int, window: tuple[int, int], method: str):
+    """:func:`beta_estimate` over a checked window by a resolved method."""
+    if method == ANALYTIC:
         s = seq.exponents.series(m**n)
         return seq.p**s, ANALYTIC, math.isinf(s)
     _require_span(window)
@@ -507,10 +515,9 @@ def classify(
     Pure function: identical inputs give bit-identical reports.  The survival
     boundary alpha = m^(-n) is classified as extinction (strict comparison).
     """
-    if n < 1 or m < 2:
-        raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    _check_geometry(n, m)
     limits = _Limits(seq, window, method)
-    beta, b_method, diverged = beta_estimate(seq, n, m, window, method)
+    beta, b_method, diverged = _beta(seq, n, m, limits.window, limits.method)
     threshold = float(m) ** (-n)
     return ClassifierReport(
         alpha=limits.alpha,

@@ -20,10 +20,10 @@ disjoint interiors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CELL_BUDGET, PercolationParams, Realization, derive_seed, generate
 from .errors import InternalInvariantError, InvalidParamsError
 from .probseq import ProbSequence
 
@@ -65,10 +65,18 @@ class Box:
         return self.side**self.n
 
     def overlaps_interior(self, other: "Box") -> bool:
+        """Whether the interiors meet in more than floating-point rounding.
+
+        Cubes placed side by side can overlap by an ulp (with side 1/9, the
+        sixth slot's lo + side rounds past the seventh's lo); that sliver is
+        no overlap.
+        """
         if self.n != other.n:
             raise InvalidParamsError("boxes live in different dimensions")
+        slack = 1e-12 * max(self.side, other.side)
         return all(
-            a < b + other.side and b < a + self.side for a, b in zip(self.lo, other.lo)
+            a + slack < b + other.side and b + slack < a + self.side
+            for a, b in zip(self.lo, other.lo)
         )
 
     def to_dict(self) -> dict:
@@ -134,7 +142,11 @@ class WitnessSpec:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Components plus the combined dimension/measure ledger."""
+    """Components plus the combined dimension/measure ledger.
+
+    Construction checks that the component regions have pairwise disjoint
+    interiors.
+    """
 
     n: int
     m: int
@@ -144,6 +156,15 @@ class WitnessReport:
     target_dim: float
     target_measure: float
     truncation_gap: float = 0.0
+
+    def __post_init__(self):
+        # the measure rule adds over regions, so an overlap is a construction
+        # bug, not bad input
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.components), 2):
+            if a.region.overlaps_interior(b.region):
+                raise InternalInvariantError(
+                    f"witness regions {i} and {j} overlap: {a.region} vs {b.region}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -304,52 +325,7 @@ def build_witness(spec: WitnessSpec) -> WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling and presentation
-
-
-@dataclass(frozen=True)
-class SampledComponent:
-    """One component instantiated as a realization in its affine frame."""
-
-    component: WitnessComponent
-    realization: Realization
-
-    def scaled_measure_at(self, k: int) -> float:
-        """Level-k measure in ambient coordinates: region volume times unit-cube measure."""
-        return self.component.region.volume * self.realization.measure_at(k)
-
-
-def sample_witness(
-    report: WitnessReport,
-    depth: int,
-    seed: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> list[SampledComponent]:
-    """Instantiate every component at the given depth, one derived seed each.
-
-    Regions are re-verified pairwise interior-disjoint first; an overlap here
-    is a construction bug, not bad input.
-    """
-    comps = report.components
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if comps[i].region.overlaps_interior(comps[j].region):
-                raise InternalInvariantError(
-                    f"witness regions {i} and {j} overlap: "
-                    f"{comps[i].region} vs {comps[j].region}"
-                )
-    out = []
-    for i, comp in enumerate(comps):
-        params = PercolationParams(
-            n=report.n,
-            m=report.m,
-            depth=depth,
-            seq=comp.seq,
-            seed=derive_seed(seed, i),
-            cell_budget=cell_budget,
-        )
-        out.append(SampledComponent(comp, generate(params)))
-    return out
+# presentation
 
 
 def format_witness_ledger(report: WitnessReport) -> str:

@@ -61,7 +61,7 @@ def test_hausdorff_all_ones_windowed():
     assert dim_hausdorff(ProbSequence.explicit([], tail=1.0), 3, 2) == 3.0
 
 
-@pytest.mark.parametrize("dim", [dim_hausdorff, dim_packing, dim_assouad])
+@pytest.mark.parametrize("dim", [dim_hausdorff, dim_packing, dim_assouad, expected_measure])
 @pytest.mark.parametrize("n, m", [(1, 1), (0, 2)])
 def test_single_dimension_rejects_invalid_geometry(dim, n, m):
     with pytest.raises(InvalidParamsError):

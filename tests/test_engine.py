@@ -24,6 +24,7 @@ from perclab import (
     render_raster,
     sample_counts,
 )
+from perclab import engine
 from perclab.engine import level_probs
 
 from conftest import catalog_seqs, geometries
@@ -321,6 +322,19 @@ def test_budget_exceeded_reports_level_and_count():
     assert err.value.level == 2
     assert err.value.count == 16
     assert err.value.budget == 10
+
+
+@pytest.mark.parametrize("sampler", [generate, sample_counts])
+def test_level_one_budget_checked_before_the_digit_block(monkeypatch, sampler):
+    # m^n may be near 2^63, so the m^n-row block is built only once level 1
+    # passed the budget
+    def no_block(m, n):
+        raise AssertionError("digit block built before the level-1 budget check")
+
+    monkeypatch.setattr(engine, "_digit_block", no_block)
+    with pytest.raises(BudgetExceededError) as err:
+        sampler(_params(n=2, m=4, depth=3, budget=15))
+    assert (err.value.level, err.value.count, err.value.budget) == (1, 4**2, 15)
 
 
 def test_param_validation():

@@ -14,8 +14,10 @@ from perclab import (
     ProbSequence,
     WindowTooSmallError,
     alpha_estimate,
+    beta_estimate,
     classify,
 )
+from perclab import probseq
 
 
 # -- evaluation -------------------------------------------------------------
@@ -202,6 +204,35 @@ def test_classify_is_pure():
     a = classify(seq, 2, 3)
     b = classify(seq, 2, 3)
     assert a == b and isinstance(a, ClassifierReport)
+
+
+@pytest.mark.parametrize("seq", [ProbSequence.mfp(0.9), ProbSequence.explicit([], tail=0.9)])
+def test_classify_checks_window_and_resolves_method_once(monkeypatch, seq):
+    calls = {"check_window": 0, "resolve_method": 0}
+
+    def counted(name):
+        original = getattr(probseq, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(probseq, name, counted(name))
+    classify(seq, 1, 2)
+    assert calls == {"check_window": 1, "resolve_method": 1}
+
+
+def test_standalone_beta_reads_a_prefix_shorter_than_the_window():
+    # classify's alpha needs the sequence through k_hi; beta alone does not
+    seq = ProbSequence.explicit([0.9] * 20)
+    with pytest.raises(InvalidParamsError):
+        classify(seq, 1, 2)
+    beta, method, diverged = beta_estimate(seq, 1, 2)
+    assert (method, diverged) == ("windowed", True)
+    assert beta == 0.0
 
 
 def test_partial_products_nonincreasing_in_window_top():

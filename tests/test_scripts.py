@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts with tiny arguments."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -61,3 +62,18 @@ def test_analytic_probe_prints_one_line_per_call(tmp_path):
     assert len(lines) == 76 * 384
     assert lines[0].startswith("('mfp(1e-300)', 'full_report', 1, 2, (64, 512), 'auto', DimensionReport(")
     assert any("WindowTooSmallError" in line for line in lines)
+
+
+def test_sample_probe_prints_one_line_per_case(tmp_path):
+    proc = run_script("sample_probe.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # 7 geometries, 6 sequences, 2 budgets, 2 seeds and 3 streams
+    assert len(lines) == 504
+    kinds = set()
+    for line in lines:
+        *_, gen, counts = ast.literal_eval(line)
+        # both samplers give the same counts or the same error
+        assert (gen[0] if isinstance(counts, list) else gen) == counts
+        kinds.add("counts" if isinstance(counts, list) else counts[0])
+    assert kinds == {"counts", "BudgetExceededError", "InvalidParamsError"}

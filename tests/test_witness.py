@@ -1,4 +1,4 @@
-"""Witness builders: exact targets, disjoint placement, sampling cross-checks."""
+"""Witness constructions: exact targets, disjoint placement, a Monte Carlo cross-check."""
 
 import math
 
@@ -21,7 +21,6 @@ from perclab import (
     estimate_measure,
     format_witness_ledger,
     full_report,
-    sample_witness,
 )
 
 
@@ -199,40 +198,22 @@ def test_combined_rules_exact():
     assert rep.combined_measure == sum(c.predicted_measure for c in rep.components)
 
 
-# -- sampling ---------------------------------------------------------------------------
+# -- region checks and sampling ---------------------------------------------------------
 
 
-def test_sample_full_cube_component():
-    comp = WitnessComponent(
-        Box((0.0, 0.0), 1.0), ProbSequence.explicit([], tail=1.0), 2.0, 1.0, "full"
-    )
-    rep = WitnessReport(2, 2, (comp,), 2.0, 1.0, 2.0, 1.0)
-    (sampled,) = sample_witness(rep, depth=2, seed=0)
-    assert sampled.realization.counts[2] == 16
-
-
-def test_sample_union_two_regions():
-    rep = build_integer_dim_witness(1, 1, 2, terms=2)
-    sampled = sample_witness(rep, depth=6, seed=9)
-    assert len(sampled) == 2
-    assert sampled[0].realization.params.seed != sampled[1].realization.params.seed
-
-
-def test_sampled_measure_scaling():
-    rep = build_positive_measure_witness(1.5, 1, 2)
-    (sampled,) = sample_witness(rep, depth=8, seed=3)
-    k = 8
-    unit = sampled.realization.measure_at(k)
-    assert sampled.scaled_measure_at(k) == pytest.approx(2.0 * unit, rel=1e-15)
-
-
-def test_sample_rejects_overlapping_regions():
+def test_report_rejects_overlapping_regions():
     seq = ProbSequence.mfp(0.9)
     a = WitnessComponent(Box((0.0,), 1.0), seq, 0.5, 0.0, "a")
     b = WitnessComponent(Box((0.5,), 1.0), seq, 0.5, 0.0, "b")
-    rep = WitnessReport(1, 2, (a, b), 0.5, 0.0, 0.5, 0.0)
     with pytest.raises(InternalInvariantError):
-        sample_witness(rep, depth=3, seed=0)
+        WitnessReport(1, 2, (a, b), 0.5, 0.0, 0.5, 0.0)
+
+
+def test_integer_union_slots_abut_despite_rounding():
+    # the sixth slot's lo + side rounds past the seventh's lo at J = 9: no overlap
+    assert 5 * (1 / 9) + 1 / 9 > 6 * (1 / 9)
+    for terms in range(2, 41):
+        assert len(build_integer_dim_witness(1, 1, 2, terms=terms).components) == terms
 
 
 def test_monte_carlo_cross_check_positive_measure():
@@ -245,20 +226,6 @@ def test_monte_carlo_cross_check_positive_measure():
     scaled_theory = comp.region.volume * est.theory
     assert scaled_theory == pytest.approx(2.0 * 0.75 ** (1 - 2.0**-12), rel=1e-12)
     assert abs(comp.region.volume * est.estimate - scaled_theory) < 4 * comp.region.volume * est.std_error
-
-
-def test_sampled_witness_measure_matches_scaled_theory():
-    # the same cross-check through sample_witness itself, one witness per seed
-    rep = build_positive_measure_witness(1.5, 1, 2)
-    depth, reps = 10, 300
-    values = []
-    for seed in range(reps):
-        (sampled,) = sample_witness(rep, depth=depth, seed=seed)
-        values.append(sampled.scaled_measure_at(depth))
-    mean = sum(values) / reps
-    se = math.sqrt(sum((v - mean) ** 2 for v in values) / (reps - 1) / reps)
-    theory = 2.0 * 0.75 ** (1 - 2.0**-depth)
-    assert abs(mean - theory) < 4 * se
 
 
 # -- ledger -------------------------------------------------------------------------------
