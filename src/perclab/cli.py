@@ -1,8 +1,10 @@
 """Command-line driver: every operation as a subcommand with JSON configs.
 
-Precedence is flags > config file > defaults; every run echoes the fully
-resolved configuration (and the tool version) alongside its results, so a
-saved output is a complete recipe for reproducing itself.  Outputs are
+Precedence is flags > config file > defaults.  Each option is declared once
+in ``_OPTIONS``, whose parser types its value once, from either source.
+Every run echoes the fully resolved configuration (and the tool version)
+alongside its results, so a saved output is a complete recipe for
+reproducing itself.  Outputs are
 written atomically (temp file + rename).  Exit codes: 0 success, 2 config
 errors, 3 domain errors, 4 budget errors; failures print one machine
 readable JSON line on stderr.
@@ -16,6 +18,7 @@ import os
 import struct
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,43 +51,151 @@ class ConfigError(Exception):
     """Structural problem with flags or the config file (exit code 2)."""
 
 
-_DEFAULTS: dict = {
-    "family": None,
-    "p": None,
-    "a": None,
-    "prefix": None,
-    "tail": None,
-    "n": 1,
-    "m": 2,
-    "depth": 8,
-    "seed": 0,
-    "stream": 0,
-    "replicates": 1000,
-    "window": list(DEFAULT_WINDOW),
-    "method": "auto",
-    "fit": None,
-    "level": None,
-    "budget": DEFAULT_CELL_BUDGET,
-    "threads": 1,
-    "max_attempts": 1000,
-    "quantity": None,
-    "p_grid": None,
-    "a_grid": None,
-    "r": None,
-    "l": 0.0,
-    "case": "union",
-    "terms": 8,
-    "ledger": False,
-    "out": None,
-    "format": None,
+# ---------------------------------------------------------------------------
+# value parsers: each types a flag string or a config-file value once, and
+# raises TypeError or ValueError on a value of the wrong shape
+
+
+def _number(value) -> int | float:
+    """A JSON number or a numeric string; booleans, arrays and objects are refused."""
+    if isinstance(value, str):
+        try:
+            return int(value)  # exact for 64-bit seeds
+        except ValueError:
+            return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    number = _number(value)
+    if number != int(number):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+def _real(value) -> float:
+    return float(_number(value))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _reals(value) -> list[float]:
+    """A comma list or an array of numbers."""
+    items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise TypeError(f"expected a comma list or an array, got {value!r}")
+    return [_real(v) for v in items]
+
+
+def _fields(value, count: int, form: str) -> list | tuple:
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != count:
+        raise ValueError(f"expected {form}, got {value!r}")
+    return parts
+
+
+def _pair(value) -> tuple[int, int]:
+    lo, hi = _fields(value, 2, "lo:hi")
+    return _integer(lo), _integer(hi)
+
+
+def _parse_grid(value) -> tuple[float, float, int]:
+    lo, hi, count = _fields(value, 3, "lo:hi:count")
+    lo, hi, count = _real(lo), _real(hi), _integer(count)
+    if count < 2:
+        raise ValueError(f"needs count >= 2, got {count}")
+    return lo, hi, count
+
+
+def _grid(value):
+    """A checked grid, kept as given so that the echoed config is the user's own."""
+    _parse_grid(value)
+    return value
+
+
+def _threads(value) -> int:
+    threads = _integer(value)
+    if threads < 1:
+        raise ValueError(f"must be >= 1, got {threads}")
+    cap = os.environ.get(THREADS_ENV)
+    if not cap:
+        return threads
+    try:
+        return min(threads, max(1, int(cap)))
+    except ValueError as exc:
+        raise ConfigError(f"${THREADS_ENV} must be an integer") from exc
+
+
+class _Option(NamedTuple):
+    flag: str
+    parse: Callable
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# every config field, keyed by name; a config file uses the same names
+_OPTIONS = {
+    "out": _Option("--out", _text, None, "output path (stdout when omitted; required for pgm)"),
+    "format": _Option("--format", _text, None, "output format", ("json", "csv", "pgm")),
+    "family": _Option("--family", _text, None, "mfp | power | power_head | power_telescope | explicit"),
+    "p": _Option("--p", _real, None, "base probability"),
+    "a": _Option("--a", _real, None, "family shape parameter / gap ratio"),
+    "prefix": _Option("--prefix", _reals, None, "comma list: probabilities (explicit) or exponents (power)"),
+    "tail": _Option("--tail", _real, None, "constant tail: probability (explicit) or exponent (power)"),
+    "n": _Option("--n", _integer, 1, "ambient dimension"),
+    "m": _Option("--m", _integer, 2, "subdivision index"),
+    "depth": _Option("--depth", _integer, 8, "subdivision depth K"),
+    "seed": _Option("--seed", _integer, 0, "64-bit master seed"),
+    "budget": _Option("--budget", _integer, DEFAULT_CELL_BUDGET, "max candidate cells per level"),
+    "stream": _Option("--stream", _integer, 0, "replicate stream index"),
+    "level": _Option("--level", _integer, None, "level to rasterize (default: depth)"),
+    "replicates": _Option("--reps", _integer, 1000, "replicate count"),
+    "threads": _Option("--threads", _threads, 1, f"worker threads (capped by ${THREADS_ENV})"),
+    "window": _Option("--window", _pair, DEFAULT_WINDOW, "k_lo:k_hi evaluation window"),
+    "method": _Option("--method", _text, "auto", "dimension method", ("auto", "analytic", "windowed")),
+    "fit": _Option("--fit", _pair, None, "k_min:k_max fit levels (boxdim)"),
+    "max_attempts": _Option("--max-attempts", _integer, 1000, "replicates drawn at most (boxdim)"),
+    "quantity": _Option("--quantity", _text, None, "swept quantity", ("survival", "measure", "boxdim", "dims")),
+    "p_grid": _Option("--p-grid", _grid, None, "lo:hi:count grid over p"),
+    "a_grid": _Option("--a-grid", _grid, None, "lo:hi:count grid over a"),
+    "r": _Option("--r", _real, None, "target dimension"),
+    "l": _Option("--l", _real, 0.0, "target expected measure"),
+    "case": _Option("--case", _text, "union", "fractional | integer | positive | union"),
+    "terms": _Option("--terms", _integer, 8, "union terms J for integer targets"),
+    "ledger": _Option("--ledger", _boolean, False, "print the text ledger"),
 }
 
-# fields a config file may give as a number or a numeric string, never as an
-# array or object
-_NUMERIC_FIELDS = (
-    "p", "a", "tail", "n", "m", "depth", "seed", "stream", "replicates",
-    "level", "budget", "threads", "max_attempts", "r", "l", "terms",
-)
+_SEQ = ("family", "p", "a", "prefix", "tail", "n", "m")
+_SIM = _SEQ + ("depth", "seed", "budget")
+_EST = _SIM + ("replicates", "threads")
+_WINDOWED = ("window", "method")
+_BOX = ("fit", "max_attempts")
+
+# the fields each subcommand takes as flags, after --out and --format
+_COMMANDS = {
+    "dims": ("analytic/windowed dimension report", _SEQ + _WINDOWED),
+    "classify": ("survival/interior classifier", _SEQ + _WINDOWED),
+    "generate": ("sample one realization to JSON", _SIM + ("stream",)),
+    "render": ("sample and rasterize one planar realization to PGM", _SIM + ("stream", "level")),
+    "measure": ("Monte Carlo expected-measure estimate", _EST),
+    "survival": ("Monte Carlo survival-frequency estimate", _EST),
+    "boxdim": ("box-counting slope over surviving replicates", _EST + _BOX),
+    "witness": ("build a (dimension, measure) witness report", ("n", "m", "r", "l", "case", "terms", "ledger")),
+    "sweep": ("grid sweep over one parameter, CSV out", _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,77 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"perclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, seq=False, geom=False, sim=False, est=False):
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", help="output path (stdout when omitted; required for pgm)")
-        p.add_argument("--format", choices=["json", "csv", "pgm"], help="output format")
-        if seq:
-            p.add_argument("--family", help="mfp | power | power_head | power_telescope | explicit")
-            p.add_argument("--p", type=float, help="base probability")
-            p.add_argument("--a", type=float, help="family shape parameter / gap ratio")
-            p.add_argument("--prefix", help="comma list: probabilities (explicit) or exponents (power)")
-            p.add_argument("--tail", type=float, help="constant tail: probability (explicit) or exponent (power)")
-        if geom:
-            p.add_argument("--n", type=int, help="ambient dimension")
-            p.add_argument("--m", type=int, help="subdivision index")
-        if sim:
-            p.add_argument("--depth", type=int, help="subdivision depth K")
-            p.add_argument("--seed", type=int, help="64-bit master seed")
-            p.add_argument("--budget", type=int, help="max candidate cells per level")
-        if est:
-            p.add_argument("--reps", type=int, dest="replicates", help="replicate count")
-            p.add_argument("--threads", type=int, help=f"worker threads (capped by ${THREADS_ENV})")
-
-    p_dims = sub.add_parser("dims", help="analytic/windowed dimension report")
-    add_common(p_dims, seq=True, geom=True)
-    p_dims.add_argument("--window", help="k_lo:k_hi evaluation window")
-    p_dims.add_argument("--method", choices=["auto", "analytic", "windowed"])
-
-    p_cls = sub.add_parser("classify", help="survival/interior classifier")
-    add_common(p_cls, seq=True, geom=True)
-    p_cls.add_argument("--window", help="k_lo:k_hi evaluation window")
-    p_cls.add_argument("--method", choices=["auto", "analytic", "windowed"])
-
-    p_gen = sub.add_parser("generate", help="sample one realization to JSON")
-    add_common(p_gen, seq=True, geom=True, sim=True)
-    p_gen.add_argument("--stream", type=int, help="replicate stream index")
-
-    p_ren = sub.add_parser("render", help="sample and rasterize one planar realization to PGM")
-    add_common(p_ren, seq=True, geom=True, sim=True)
-    p_ren.add_argument("--stream", type=int, help="replicate stream index")
-    p_ren.add_argument("--level", type=int, help="level to rasterize (default: depth)")
-
-    for name, helptext in (
-        ("measure", "Monte Carlo expected-measure estimate"),
-        ("survival", "Monte Carlo survival-frequency estimate"),
-    ):
-        p_est = sub.add_parser(name, help=helptext)
-        add_common(p_est, seq=True, geom=True, sim=True, est=True)
-
-    p_box = sub.add_parser("boxdim", help="box-counting slope over surviving replicates")
-    add_common(p_box, seq=True, geom=True, sim=True, est=True)
-    p_box.add_argument("--fit", help="k_min:k_max fit levels")
-    p_box.add_argument("--max-attempts", type=int, dest="max_attempts")
-
-    p_wit = sub.add_parser("witness", help="build a (dimension, measure) witness report")
-    add_common(p_wit, geom=True)
-    p_wit.add_argument("--r", type=float, help="target dimension")
-    p_wit.add_argument("--l", type=float, help="target expected measure")
-    p_wit.add_argument("--case", help="fractional | integer | positive | union")
-    p_wit.add_argument("--terms", type=int, help="union terms J for integer targets")
-    p_wit.add_argument("--ledger", action="store_const", const=True, help="print the text ledger")
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep over one parameter, CSV out")
-    add_common(p_sweep, seq=True, geom=True, sim=True, est=True)
-    p_sweep.add_argument("--quantity", choices=["survival", "measure", "boxdim", "dims"])
-    p_sweep.add_argument("--p-grid", dest="p_grid", help="lo:hi:count grid over p")
-    p_sweep.add_argument("--a-grid", dest="a_grid", help="lo:hi:count grid over a")
-    p_sweep.add_argument("--window", help="k_lo:k_hi evaluation window (dims)")
-    p_sweep.add_argument("--fit", help="k_min:k_max fit levels (boxdim)")
-    p_sweep.add_argument("--max-attempts", type=int, dest="max_attempts")
-    p_sweep.add_argument("--method", choices=["auto", "analytic", "windowed"])
-
+    for command, (helptext, fields) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=helptext)
+        cmd.add_argument("--config", help="JSON config file; flags override its fields")
+        for field in ("out", "format") + fields:
+            opt = _OPTIONS[field]
+            # flags stay strings here; resolve_config types them with the file's values
+            if opt.parse is _boolean:
+                cmd.add_argument(opt.flag, dest=field, action="store_const", const=True, help=opt.help)
+            else:
+                cmd.add_argument(opt.flag, dest=field, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -172,94 +222,40 @@ def build_parser() -> argparse.ArgumentParser:
 # config resolution
 
 
-def _parse_pair(text, what: str) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        pair = list(text)
-    else:
-        pair = str(text).split(":")
-    if len(pair) != 2:
-        raise ConfigError(f"{what} must be lo:hi, got {text!r}")
+def _read_config(path: str, command: str) -> dict:
     try:
-        return [int(pair[0]), int(pair[1])]
-    except ValueError as exc:
-        raise ConfigError(f"{what} must hold integers, got {text!r}") from exc
-
-
-def _parse_grid(text, what: str) -> tuple[float, float, int]:
-    if isinstance(text, (list, tuple)):
-        parts = list(text)
-    else:
-        parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must be lo:hi:count, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}") from exc
-    if count < 2:
-        raise ConfigError(f"{what} needs count >= 2, got {count}")
-    return lo, hi, count
-
-
-def _parse_float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    try:
-        return [float(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(loaded) - set(_OPTIONS) - {"command"}
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    file_cmd = loaded.pop("command", None)
+    if file_cmd is not None and file_cmd != command:
+        raise ConfigError(f"config file names command {file_cmd!r} but {command!r} was invoked")
+    return loaded
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["command"] = args.command
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_DEFAULTS) - {"command"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        file_cmd = loaded.pop("command", None)
-        if file_cmd is not None and file_cmd != args.command:
-            raise ConfigError(
-                f"config file names command {file_cmd!r} but {args.command!r} was invoked"
-            )
-        cfg.update(loaded)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key in _NUMERIC_FIELDS:
-        if isinstance(cfg[key], (list, dict)):
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
-    if cfg.get("out") is not None and not isinstance(cfg["out"], str):
-        raise ConfigError(f"out must be a path string, got {cfg['out']!r}")
-    if cfg.get("prefix") is not None:
-        cfg["prefix"] = _parse_float_list(cfg["prefix"])
-    if cfg.get("window") is not None:
-        cfg["window"] = _parse_pair(cfg["window"], "window")
-    if cfg.get("fit") is not None:
-        cfg["fit"] = _parse_pair(cfg["fit"], "fit")
-    cfg["ledger"] = bool(cfg.get("ledger"))
-    try:
-        threads = int(cfg["threads"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"threads must be an integer, got {cfg['threads']!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    env_cap = os.environ.get(THREADS_ENV)
-    if env_cap:
-        try:
-            cfg["threads"] = min(threads, max(1, int(env_cap)))
-        except ValueError as exc:
-            raise ConfigError(f"${THREADS_ENV} must be an integer") from exc
+    """Flags over config file over defaults, every field typed by its parser."""
+    given = _read_config(args.config, args.command) if args.config else {}
+    given.update((field, value) for field, value in vars(args).items() if value is not None)
+    cfg = {"command": args.command}
+    for field, opt in _OPTIONS.items():
+        value = opt.default if given.get(field) is None else given[field]
+        if value is not None:
+            try:
+                value = opt.parse(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {field}: {exc}") from exc
+            if opt.choices and value not in opt.choices:
+                raise ConfigError(f"{field} must be one of {list(opt.choices)}, got {value!r}")
+        cfg[field] = value
     return cfg
 
 
@@ -276,12 +272,7 @@ def build_seq(cfg: dict) -> ProbSequence:
 
 def build_params(cfg: dict) -> PercolationParams:
     return PercolationParams(
-        n=int(cfg["n"]),
-        m=int(cfg["m"]),
-        depth=int(cfg["depth"]),
-        seq=build_seq(cfg),
-        seed=int(cfg["seed"]),
-        cell_budget=int(cfg["budget"]),
+        cfg["n"], cfg["m"], cfg["depth"], build_seq(cfg), seed=cfg["seed"], cell_budget=cfg["budget"]
     )
 
 
@@ -290,9 +281,9 @@ def _family_label(cfg: dict) -> tuple[str, str]:
     parts = []
     for key in ("p", "a", "tail"):
         if cfg.get(key) is not None:
-            parts.append(f"{key}={format(float(cfg[key]), '.17g')}")
+            parts.append(f"{key}={format(cfg[key], '.17g')}")
     if cfg.get("prefix"):
-        parts.append("prefix=" + "|".join(format(float(v), ".17g") for v in cfg["prefix"]))
+        parts.append("prefix=" + "|".join(format(v, ".17g") for v in cfg["prefix"]))
     return family, ";".join(parts)
 
 
@@ -357,7 +348,7 @@ def _pick_format(cfg: dict, allowed: tuple[str, ...], default: str) -> str:
 
 def _dims_report(cfg: dict) -> DimensionReport:
     return full_report(
-        build_seq(cfg), int(cfg["n"]), int(cfg["m"]), window=tuple(cfg["window"]), method=cfg["method"]
+        build_seq(cfg), cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"]
     )
 
 
@@ -384,7 +375,7 @@ def cmd_dims(cfg: dict) -> str:
 
 def cmd_classify(cfg: dict) -> str:
     seq = build_seq(cfg)
-    rep = classify(seq, int(cfg["n"]), int(cfg["m"]), window=tuple(cfg["window"]), method=cfg["method"])
+    rep = classify(seq, cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"])
     _pick_format(cfg, ("json",), "json")
     _emit_json(cfg, rep.to_dict(), cfg["out"])
     return (
@@ -395,7 +386,7 @@ def cmd_classify(cfg: dict) -> str:
 
 def cmd_generate(cfg: dict) -> str:
     params = build_params(cfg)
-    r = generate(params, stream=int(cfg["stream"]))
+    r = generate(params, stream=cfg["stream"])
     _pick_format(cfg, ("json",), "json")
     _emit_json(cfg, realization_to_dict(r), cfg["out"])
     return (
@@ -409,8 +400,8 @@ def cmd_render(cfg: dict) -> str:
     if not cfg.get("out"):
         raise ConfigError("render writes binary PGM; --out is required")
     _pick_format(cfg, ("pgm",), "pgm")
-    level = int(cfg["level"]) if cfg.get("level") is not None else params.depth
-    r = generate(params, stream=int(cfg["stream"]))
+    level = params.depth if cfg["level"] is None else cfg["level"]
+    r = generate(params, stream=cfg["stream"])
     data = pgm_bytes(render_raster(r, level))
     _atomic_write(cfg["out"], data)
     side = params.m**level
@@ -421,15 +412,13 @@ def cmd_render(cfg: dict) -> str:
 
 
 def _run_estimator(cfg: dict, quantity: str, params: PercolationParams):
-    reps = int(cfg["replicates"])
-    threads = int(cfg["threads"])
+    reps, threads = cfg["replicates"], cfg["threads"]
     if quantity == "survival":
         return estimate_survival(params, reps, threads=threads)
     if quantity == "measure":
         return estimate_measure(params, reps, threads=threads)
-    fit = tuple(cfg["fit"]) if cfg.get("fit") else None
     return estimate_boxdim(
-        params, reps, fit_levels=fit, max_attempts=int(cfg["max_attempts"]), threads=threads
+        params, reps, fit_levels=cfg["fit"], max_attempts=cfg["max_attempts"], threads=threads
     )
 
 
@@ -471,17 +460,9 @@ def _cmd_estimate(cfg: dict, quantity: str) -> str:
 
 
 def cmd_witness(cfg: dict) -> str:
-    if cfg.get("r") is None:
+    if cfg["r"] is None:
         raise ConfigError("witness needs --r (target dimension)")
-    spec = WitnessSpec(
-        r=float(cfg["r"]),
-        l=float(cfg["l"]),
-        n=int(cfg["n"]),
-        m=int(cfg["m"]),
-        case=cfg["case"],
-        terms=int(cfg["terms"]),
-        depth=int(cfg["depth"]),
-    )
+    spec = WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"], case=cfg["case"], terms=cfg["terms"])
     rep = build_witness(spec)
     if cfg["ledger"]:
         sys.stdout.write(format_witness_ledger(rep) + "\n")
@@ -495,15 +476,15 @@ def cmd_witness(cfg: dict) -> str:
 
 
 def cmd_sweep(cfg: dict) -> str:
-    quantity = cfg.get("quantity")
-    if quantity not in ("survival", "measure", "boxdim", "dims"):
+    quantity = cfg["quantity"]
+    if quantity is None:
         raise ConfigError("sweep needs --quantity survival|measure|boxdim|dims")
-    if (cfg.get("p_grid") is None) == (cfg.get("a_grid") is None):
+    if (cfg["p_grid"] is None) == (cfg["a_grid"] is None):
         raise ConfigError("sweep needs exactly one of --p-grid / --a-grid")
-    key, grid_spec = ("p", cfg["p_grid"]) if cfg.get("p_grid") is not None else ("a", cfg["a_grid"])
-    lo, hi, count = _parse_grid(grid_spec, f"{key}-grid")
+    key, grid_spec = ("p", cfg["p_grid"]) if cfg["p_grid"] is not None else ("a", cfg["a_grid"])
+    lo, hi, count = _parse_grid(grid_spec)
     values = np.linspace(lo, hi, count)
-    master = int(cfg["seed"])
+    master = cfg["seed"]
     rows = []
     for value in values:
         point = dict(cfg)

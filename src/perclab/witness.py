@@ -107,8 +107,7 @@ class WitnessComponent:
 class WitnessSpec:
     """Target (dimension r, expected measure l) plus build knobs.
 
-    ``terms`` truncates the union for integer targets; ``depth`` is the
-    subdivision depth samplers should use when instantiating the witness.
+    ``terms`` truncates the union for integer targets.
     """
 
     r: float
@@ -117,7 +116,6 @@ class WitnessSpec:
     m: int
     case: str = CASE_UNION
     terms: int = 8
-    depth: int = 8
 
     def __post_init__(self):
         case = _CASE_ALIASES.get(str(self.case).strip().lower())
@@ -136,8 +134,6 @@ class WitnessSpec:
             raise InvalidParamsError("subdivision index m must be >= 2")
         if self.case == CASE_POSITIVE and self.l <= 0.0:
             raise InvalidParamsError("positive_measure case needs l > 0")
-        if self.depth < 1:
-            raise InvalidParamsError("depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -230,6 +226,10 @@ def build_integer_dim_witness(r: int, n: int, m: int, terms: int = 8, a: float =
         raise InvalidParamsError(f"need n >= r, got n={n}, r={r}")
     if terms < 2:
         raise InvalidParamsError(f"need at least 2 union terms, got {terms}")
+    if r - 2.0**-terms == r:
+        raise InvalidParamsError(
+            f"terms={terms} is too many for r={r}: r - 2^-terms rounds to r in double precision"
+        )
     side = 1.0 / terms
     comps = []
     for k in range(1, terms + 1):

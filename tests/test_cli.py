@@ -6,7 +6,7 @@ import math
 import pytest
 
 from perclab import __version__
-from perclab.cli import main
+from perclab.cli import build_parser, main
 from perclab.estimators import CSV_COLUMNS
 
 
@@ -346,3 +346,143 @@ def test_csv_reruns_byte_identical(tmp_path, capsys):
     assert a_lines[0] == b_lines[0]
     assert a_lines[2:] == b_lines[2:]
     assert len(a_lines) == 3 + 3  # version, config, header, three grid points
+
+
+# -- the flag surface ----------------------------------------------------------------------
+
+_SEQ_FLAGS = {
+    (("--a",), "a", None), (("--family",), "family", None), (("--m",), "m", None),
+    (("--n",), "n", None), (("--p",), "p", None), (("--prefix",), "prefix", None),
+    (("--tail",), "tail", None),
+}
+_IO_FLAGS = {
+    (("-h", "--help"), "help", None), (("--config",), "config", None), (("--out",), "out", None),
+    (("--format",), "format", ("json", "csv", "pgm")),
+}
+_SIM_FLAGS = {(("--budget",), "budget", None), (("--depth",), "depth", None), (("--seed",), "seed", None)}
+_EST_FLAGS = {(("--reps",), "replicates", None), (("--threads",), "threads", None)}
+_WINDOW_FLAGS = {
+    (("--window",), "window", None),
+    (("--method",), "method", ("auto", "analytic", "windowed")),
+}
+_BOX_FLAGS = {(("--fit",), "fit", None), (("--max-attempts",), "max_attempts", None)}
+_STREAM_FLAGS = {(("--stream",), "stream", None)}
+
+# every subcommand's (option strings, dest, choices), as the CLI has always declared them
+SURFACE = {
+    "dims": _IO_FLAGS | _SEQ_FLAGS | _WINDOW_FLAGS,
+    "classify": _IO_FLAGS | _SEQ_FLAGS | _WINDOW_FLAGS,
+    "generate": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS,
+    "render": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS | {(("--level",), "level", None)},
+    "measure": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
+    "survival": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
+    "boxdim": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _BOX_FLAGS,
+    "witness": _IO_FLAGS | {
+        (("--n",), "n", None), (("--m",), "m", None), (("--r",), "r", None), (("--l",), "l", None),
+        (("--case",), "case", None), (("--terms",), "terms", None), (("--ledger",), "ledger", None),
+    },
+    "sweep": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _WINDOW_FLAGS | _BOX_FLAGS | {
+        (("--quantity",), "quantity", ("survival", "measure", "boxdim", "dims")),
+        (("--p-grid",), "p_grid", None), (("--a-grid",), "a_grid", None),
+    },
+}
+
+
+def test_cli_surface_unchanged():
+    parser = build_parser()
+    sub = next(action for action in parser._actions if action.dest == "command")
+    assert set(sub.choices) == set(SURFACE)
+    for command, subparser in sub.choices.items():
+        got = {
+            (tuple(a.option_strings), a.dest, tuple(a.choices) if a.choices else None)
+            for a in subparser._actions
+        }
+        assert got == SURFACE[command], command
+
+
+# -- config typing ---------------------------------------------------------------------------
+
+
+def run_config(tmp_path, capsys, command, fields, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    return run(capsys, command, "--config", str(cfg), *flags)
+
+
+def assert_config_error(rc, out, err):
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("generate", {"family": "mfp", "p": 0.5, "depth": 4.9}),  # once truncated to 4
+        ("generate", {"family": "mfp", "p": 0.5, "seed": 1.5}),  # once truncated to 1
+        ("witness", {"r": 0.5, "ledger": "false"}),  # once printed the ledger
+        ("dims", {"family": "mfp", "p": 0.5, "n": True}),
+        ("dims", {"family": "mfp", "p": "abc"}),  # once a domain error, exit 3
+        ("dims", {"family": "mfp", "p": 0.5, "method": "bogus"}),  # once a domain error, exit 3
+        ("dims", {"family": "mfp", "p": 0.5, "prefix": 5}),
+        ("boxdim", {"family": "mfp", "p": 0.9, "fit": [1, 2, 3]}),
+        ("sweep", {"family": "mfp", "quantity": "survival", "p_grid": "0.1:0.9:1.5"}),
+    ],
+)
+def test_config_badly_typed_value_exit_2(tmp_path, capsys, command, fields):
+    assert_config_error(*run_config(tmp_path, capsys, command, fields))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--family", "mfp", "--p", "abc"),
+        ("dims", "--family", "mfp", "--p", "0.5", "--window", "3"),
+        ("generate", "--family", "mfp", "--p", "0.5", "--seed", "1.5"),
+    ],
+)
+def test_flag_badly_typed_value_one_json_line(capsys, argv):
+    # the same single JSON line as a bad config-file value, not argparse's usage text
+    assert_config_error(*run(capsys, *argv))
+
+
+def test_config_numeric_strings_and_integral_floats_typed_in_echo(tmp_path, capsys):
+    rc, out, _ = run_config(
+        tmp_path, capsys, "generate", {"family": "mfp", "p": "0.5", "m": "3", "depth": 8.0}
+    )
+    assert rc == 0
+    echoed = json.loads(out)["config"]
+    assert (echoed["p"], echoed["m"], echoed["depth"]) == (0.5, 3, 8)
+    assert type(echoed["m"]) is int and type(echoed["depth"]) is int
+    # the echo is a recipe: as a config file it runs to the same bytes
+    rc2, out2, _ = run_config(tmp_path, capsys, "generate", echoed)
+    assert rc2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("seed", [18446744073709551615, "18446744073709551615"])
+def test_config_full_width_seed_round_trips(tmp_path, capsys, seed):
+    rc, out, _ = run_config(tmp_path, capsys, "generate", {"family": "mfp", "p": 0.5, "seed": seed})
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["config"]["seed"] == 18446744073709551615
+    assert doc["result"]["seed"] == 18446744073709551615
+
+
+def test_witness_ignores_config_depth(tmp_path, capsys):
+    # witness takes no --depth; a config file's depth must not reach the witness build
+    rc, out, _ = run_config(tmp_path, capsys, "witness", {"depth": 0}, "--r", "1.5", "--n", "2")
+    assert rc == 0
+    assert json.loads(out)["result"]["combined_dim"] == 1.5
+
+
+@pytest.mark.parametrize("terms", ["54", "60"])
+def test_witness_too_many_terms_names_the_option(capsys, terms):
+    rc, out, err = run(
+        capsys, "witness", "--case", "integer", "--r", "1", "--l", "0", "--n", "1", "--m", "2", "--terms", terms
+    )
+    assert rc == 3 and out == ""
+    assert "terms" in json.loads(err)["message"]
+    rc, out, _ = run(capsys, "witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "53")
+    assert rc == 0
+    assert len(json.loads(out)["result"]["components"]) == 53

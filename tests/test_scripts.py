@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from perclab.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -77,3 +79,24 @@ def test_sample_probe_prints_one_line_per_case(tmp_path):
         assert (gen[0] if isinstance(counts, list) else gen) == counts
         kinds.add("counts" if isinstance(counts, list) else counts[0])
     assert kinds == {"counts", "BudgetExceededError", "InvalidParamsError"}
+
+
+def test_cli_probe_prints_one_line_per_call(tmp_path):
+    proc = run_script("cli_probe.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    calls = []
+    for line in proc.stdout.splitlines():
+        got = ast.literal_eval(line)
+        calls.append(got if isinstance(got[0], tuple) else got[1])
+    # 50 flag calls, the malformed config file and 28 config contents
+    assert len(calls) == 79
+    assert {code for _, code, *_ in calls} == {0, 2, 3, 4}
+    assert {err for *_, err in calls} >= {None, "ConfigError", "argparse", "InvalidParamsError"}
+    # every flag of every subcommand is exercised at least once
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, subparser in sub.choices.items():
+        used = {arg for argv, *_ in calls if argv[0] == command for arg in argv}
+        flags = {s for a in subparser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags <= used, (command, flags - used)
+    # every successful --out call hashes the file it wrote
+    assert all(out_sha for argv, code, _, out_sha, _ in calls if "--out" in argv and code == 0)

@@ -77,6 +77,19 @@ def test_integer_rejects_fractional_and_bad_terms():
         build_integer_dim_witness(1, 1, 2, terms=1)
 
 
+@pytest.mark.parametrize("terms", [54, 60])
+def test_integer_rejects_terms_past_double_precision(terms):
+    # 1 - 2^-54 rounds to 1, so the last approximant would sit at the target itself
+    with pytest.raises(InvalidParamsError, match=f"terms={terms}"):
+        build_integer_dim_witness(1, 1, 2, terms=terms)
+
+
+def test_integer_accepts_terms_up_to_double_precision():
+    rep = build_integer_dim_witness(1, 1, 2, terms=53)
+    assert len(rep.components) == 53
+    assert rep.combined_dim == 1 - 2.0**-53 < 1.0
+
+
 def test_integer_union_regions_disjoint():
     rep = build_integer_dim_witness(2, 2, 3, terms=4)
     boxes = [c.region for c in rep.components]
