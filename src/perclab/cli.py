@@ -535,7 +535,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except BudgetExceededError as exc:
         return _fail(exc, 4)
-    except (PercLabError, ValueError) as exc:
+    except (PercLabError, ValueError, OverflowError) as exc:
         return _fail(exc, 3)
     sys.stderr.write(summary + "\n")
     return 0

@@ -1,19 +1,28 @@
 """Fractal dimensions and expected volume of the percolation limit set.
 
-Almost-sure closed forms, all driven by the probability sequence:
+Almost-sure values, all driven by the probability sequence:
 
     expected volume   E lambda_n = prod_k p_k
     hausdorff         n + log_m(alpha),   alpha = liminf_k (p_1...p_k)^(1/k)
     packing           n + limsup_k log_m (p_1...p_k)^(1/k)
-    assouad           n + limsup_t sup_j log_m (p_{j+1}...p_{j+t})^(1/t)
+    assouad           n where the set survives (alpha > m^(-n)), else packing
     box (lower/upper) identical to hausdorff / packing respectively
 
 The paper writes packing as the limsup of the quotient
 (n + log_m (p_1...p_{k+1})^(1/(k+1))) / (1 + log_m(p_{k+1}^(1/(k+1))) / n).
 Every representable sequence is bounded below (non-decreasing, or a finite
 prefix plus a tail), so the denominator is 1 + O(1/k) and drops out of the
-limsup.  All five dimensions are then extrema of Cesaro means of ln p_k, and
-a finite head shifts those means by O(1/k) only.
+limsup.  Hausdorff, packing and both box dimensions are then extrema of
+Cesaro means of ln p_k, and a finite head shifts those means by O(1/k) only.
+
+Assouad departs from the paper's claim that the other dimensions behave
+like Hausdorff.  With inf_k p_k > 0, a live level-k cell keeps a full
+t-level subtree with probability prod_{j<=t} p_{k+j}^(m^(nj)), bounded
+below in k, so on survival weak tangents almost surely contain a full cube
+and the Assouad dimension is n (Fraser, Miao & Troscheit, Ergodic Theory
+Dynam. Systems 38, 2018; Fraser, Assouad Dimension and Fractal Geometry,
+2020).  An almost surely empty set reports packing's value, 0 for every
+catalog family, so H <= P <= A holds by construction.
 
 Every function returns the deterministic almost-sure value; nothing here
 samples.  Each one reads one :class:`perclab.probseq._Limits` evaluation:
@@ -28,7 +37,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import InternalInvariantError
-from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _check_geometry, _Limits
+from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _check_geometry, _Limits, _survives
 
 
 @dataclass(frozen=True)
@@ -116,10 +125,11 @@ def dim_packing(
 def dim_assouad(
     seq: ProbSequence, n: int, m: int, window=DEFAULT_WINDOW, method: str = "auto"
 ) -> float:
-    """Almost-sure Assouad dimension, clamped to [0, n].
+    """Almost-sure Assouad dimension: n where the set survives, else packing's value.
 
-    The formula takes the sup over start levels j of the mean of ln p_l over
-    (j, j + t], then the limsup over t.
+    Survival is alpha > m^(-n), the strict test of :func:`perclab.probseq.classify`.
+    A surviving set almost surely holds fully kept subtrees of every height,
+    so its weak tangents contain a full cube (see the module docstring).
     """
     return full_report(seq, n, m, window, method).assouad
 
@@ -139,7 +149,7 @@ def full_report(
     limits = _Limits(seq, window, method)
     hausdorff, degenerate = _clamp(_hausdorff_raw(limits.alpha, n, m), n)
     packing = _clamp(n + limits.packing_log / math.log(m), n)[0]
-    assouad = _clamp(n + limits.assouad_log / math.log(m), n)[0]
+    assouad = float(n) if _survives(limits.alpha, n, m) else packing
     measure = limits.measure
     # exact but for the rounding of Hausdorff's exp/log round trip through alpha
     if hausdorff > packing + 1e-9 or packing > assouad + 1e-9:

@@ -77,7 +77,9 @@ class PercolationParams:
             raise InvalidParamsError("cell_budget must be >= 1")
         if self.m**self.n > _COORD_LIMIT:
             raise InvalidParamsError(f"m^n = {self.m}^{self.n} exceeds 64-bit packing")
-        if self.m**self.depth > _COORD_LIMIT:
+        # m >= 2 puts every depth past 63 over the limit; testing that first
+        # keeps m**depth from being built as a huge integer
+        if self.depth > 63 or self.m**self.depth > _COORD_LIMIT:
             raise InvalidParamsError(
                 f"m^depth = {self.m}^{self.depth} exceeds the coordinate packing limit"
             )

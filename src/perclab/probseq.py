@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -286,6 +285,17 @@ class ProbSequence:
         kind = raw_kind.strip().lower()
         if kind not in _KINDS:
             raise InvalidParamsError(f"unknown sequence kind {raw_kind!r}")
+        given = {key for key in ("p", "a", "prefix", "tail") if d.get(key) is not None}
+        if kind == KIND_EXPLICIT:
+            reads = {"prefix", "tail"}
+        elif kind == KIND_MFP:
+            reads = {"p"}
+        elif kind == KIND_POWER and "a" not in given:
+            reads = {"p", "prefix", "tail"} if "prefix" in given else {"p"}
+        else:
+            reads = {"p", "a"}
+        if given - reads:
+            raise InvalidParamsError(f"{kind} sequence does not read fields {sorted(given - reads)}")
         if kind == KIND_EXPLICIT:
             return cls.explicit(d.get("prefix", ()), d.get("tail"), strict=strict)
         p = d.get("p")
@@ -298,9 +308,9 @@ class ProbSequence:
         if kind == KIND_POWER_TELESCOPE:
             return cls.power_telescope(p, _require(d, "a", kind))
         # power: exponent rule inferred from which optional fields are present
-        if d.get("a") is not None:
+        if "a" in given:
             espec = ExponentSpec.geometric_gap(d["a"])
-        elif d.get("prefix") is not None:
+        elif "prefix" in given:
             espec = ExponentSpec.explicit_list(d["prefix"], _require(d, "tail", "power/explicit_list"))
         else:
             espec = ExponentSpec.constant_one()
@@ -370,6 +380,11 @@ def _check_geometry(n: int, m: int):
         raise InvalidParamsError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
 
 
+def _survives(alpha: float, n: int, m: int) -> bool:
+    """Positive survival probability: alpha > m^(-n); the boundary is extinction."""
+    return alpha > float(m) ** (-n)
+
+
 def _require_span(window: tuple[int, int]):
     if window[1] - window[0] < MIN_WINDOW_SPAN:
         raise WindowTooSmallError(
@@ -386,33 +401,26 @@ class _Limits:
 
         alpha         exp of the liminf of the means over (0, k]
         packing_log   the limsup of the means over (0, k]
-        assouad_log   the limsup over t of the sup over j of the mean over (j, j + t]
         measure       prod_k p_k, 0 once its log is below -LOG_UNDERFLOW
 
     ``analytic`` reads the exponent rule p_k = p^(a_k) with Cesaro limit c:
-    alpha = p^c, packing_log = assouad_log = c ln p (every representable
-    sequence is non-decreasing or eventually constant, so the sup over
-    windows settles at the same limit), and measure = p^S(1).
+    alpha = p^c, packing_log = c ln p, and measure = p^S(1).
 
     ``windowed`` reads one :meth:`ProbSequence.cumulative_log` table through
-    k_hi and takes extrema of means of ln p_l over sub-windows of
+    k_hi and takes extrema of means of ln p_l over (k_lo, k] for k in
     (k_lo, k_hi], so the head below k_lo never enters:
 
-        alpha         the minimum over k in (k_lo, k_hi] of the mean over (k_lo, k]
-        packing_log   the maximum of those means for k in the deeper half of
+        alpha         the minimum of the means
+        packing_log   the maximum of the means for k in the deeper half of
                       the window: a limsup is a tail property, and the shallow
                       half carries an O(1/(k - k_lo)) transient
-        assouad_log   the maximum over every sub-window of (k_lo, k_hi] at least
-                      half the span long
         measure       the prefix product at k_hi
 
-    Assouad's candidates include packing's, which are a subset of alpha's,
-    so H <= P <= A holds by construction.  The extrema are exact for the
-    monotone tails of the catalog families and an honest, labeled
-    approximation otherwise; the minimum under-approximates the liminf on
-    oscillating tails, which is why ``auto`` takes the closed forms for the
-    catalog.  The windowed Assouad scan costs O(span^2) and runs only when
-    ``assouad_log`` is read.
+    Packing's candidates are a subset of alpha's, so H <= P holds by
+    construction.  The extrema are exact for the monotone tails of the
+    catalog families and an honest, labeled approximation otherwise; the
+    minimum under-approximates the liminf on oscillating tails, which is why
+    ``auto`` takes the closed forms for the catalog.
     """
 
     def __init__(self, seq: ProbSequence, window, method: str):
@@ -421,37 +429,18 @@ class _Limits:
         if self.method == ANALYTIC:
             c = seq.exponents.cesaro_limit()
             self.alpha = seq.p**c
-            self.packing_log = self.assouad_log = c * math.log(seq.p)
+            self.packing_log = c * math.log(seq.p)
             self.measure = seq.p ** seq.exponents.series(1)
             return
         _require_span(self.window)
         k_lo, k_hi = self.window
-        self._cum = seq.cumulative_log(k_hi)
+        cum = seq.cumulative_log(k_hi)
         span = k_hi - k_lo
-        means = _tail_means(self._cum, k_lo, np.arange(1, span + 1))
+        means = (cum[k_lo + 1 :] - cum[k_lo]) / np.arange(1, span + 1)
         self.alpha = float(np.exp(means.min()))
         self.packing_log = float(means[span // 2 - 1 :].max())
-        log_measure = float(self._cum[k_hi])
+        log_measure = float(cum[k_hi])
         self.measure = 0.0 if log_measure < -LOG_UNDERFLOW else math.exp(log_measure)
-
-    @cached_property
-    def assouad_log(self) -> float:
-        # about span^2 / 8 means: one pass per start level j, lengths t >= span / 2
-        k_lo, k_hi = self.window
-        t_lo = (k_hi - k_lo) // 2
-        return max(
-            float(_tail_means(self._cum, j, np.arange(t_lo, k_hi - j + 1)).max())
-            for j in range(k_lo, k_hi - t_lo + 1)
-        )
-
-
-def _tail_means(cum: np.ndarray, k_lo: int, lengths: np.ndarray) -> np.ndarray:
-    """Mean of ln p_l over (k_lo, k_lo + t] for each t in ``lengths``.
-
-    ``cum`` is a :meth:`ProbSequence.cumulative_log` table reaching at least
-    k_lo + max(lengths).
-    """
-    return (cum[k_lo + lengths] - cum[k_lo]) / lengths
 
 
 def alpha_estimate(seq: ProbSequence, window=DEFAULT_WINDOW, method: str = "auto") -> tuple[float, str]:
@@ -518,13 +507,12 @@ def classify(
     _check_geometry(n, m)
     limits = _Limits(seq, window, method)
     beta, b_method, diverged = _beta(seq, n, m, limits.window, limits.method)
-    threshold = float(m) ** (-n)
     return ClassifierReport(
         alpha=limits.alpha,
         beta=beta,
         alpha_method=limits.method,
         beta_method=b_method,
-        survival_class=SURVIVAL_POSITIVE if limits.alpha > threshold else SURVIVAL_EMPTY,
+        survival_class=SURVIVAL_POSITIVE if _survives(limits.alpha, n, m) else SURVIVAL_EMPTY,
         interior_class=INTERIOR_NONEMPTY if beta > 0.0 else INTERIOR_EMPTY,
         beta_diverged=diverged,
     )

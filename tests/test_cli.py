@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +31,9 @@ def test_dims_json_stdout(capsys):
     assert doc["config"]["p"] == 0.9
     assert doc["config"]["window"] == [64, 512]  # defaults echoed
     want = 2 + math.log2(0.9)
-    for field in ("hausdorff", "packing", "assouad", "box_lower", "box_upper"):
+    for field in ("hausdorff", "packing", "box_lower", "box_upper"):
         assert abs(doc["result"][field] - want) < 1e-9
+    assert doc["result"]["assouad"] == 2.0
     assert doc["result"]["expected_measure"] == 0.0
     assert "hausdorff=" in err
 
@@ -262,6 +267,60 @@ def test_domain_error_exit_3(capsys):
     assert rc == 3
     payload = json.loads(err.splitlines()[0])
     assert payload["exit_code"] == 3
+
+
+HUGE = "1" + "0" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--family", "mfp", "--p", "0.5", "--n", HUGE),
+        ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", HUGE),
+    ],
+)
+def test_integer_too_large_for_a_float_exit_3(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--quantity", "dims", "--family", "mfp", "--p", "0.5", "--n", "1", "--a-grid", "1:2:3"),
+        ("dims", "--family", "mfp", "--p", "0.5", "--a", "7", "--prefix", "0.1,0.2"),
+        ("dims", "--family", "explicit", "--p", "0.5", "--tail", "0.9"),
+    ],
+)
+def test_sequence_field_the_family_does_not_read_exit_3(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+
+
+# caps the child's address space before perclab starts, without preexec_fn,
+# which is unsafe once the test process runs threads
+_CAPPED_MAIN = (
+    "import resource, runpy, sys; cap = 3 << 30; "
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "sys.argv[0] = 'perclab'; runpy.run_module('perclab', run_name='__main__')"
+)
+
+
+def test_huge_depth_rejected_before_m_to_the_depth_is_built():
+    # 2^(10^11) would need 12.5 GB as an integer; the cap turns any attempt to
+    # build it into a MemoryError instead of letting it take the machine
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "survival", "--family", "mfp", "--p", "0.5", "--n", "1",
+         "--depth", "100000000000", "--reps", "100"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
 
 
 def test_budget_error_exit_4(capsys):

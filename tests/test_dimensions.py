@@ -3,6 +3,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +11,7 @@ from conftest import catalog_seqs, geometries
 from perclab import (
     ExponentSpec,
     InvalidParamsError,
+    PercolationParams,
     ProbSequence,
     alpha_estimate,
     classify,
@@ -19,6 +21,7 @@ from perclab import (
     expected_measure,
     expected_measure_limit,
     full_report,
+    generate,
 )
 
 WINDOW = (64, 512)
@@ -77,13 +80,41 @@ def test_packing_telescope():
     assert dim_packing(ProbSequence.power_telescope(0.5, 0.5), 1, 2) == 1.0
 
 
-def test_assouad_matches_packing_on_catalog():
+def test_assouad_is_n_on_survival_and_packing_otherwise():
+    # a surviving set keeps full subtrees of every height, whatever p_k is
     for seq in (
         ProbSequence.mfp(0.7),
         ProbSequence.power_telescope(0.5, 0.5),
         ProbSequence.power_head(0.6, 2.0),
     ):
-        assert dim_assouad(seq, 2, 2) == dim_packing(seq, 2, 2)
+        assert dim_assouad(seq, 2, 2) == 2.0
+    # a.s. empty (alpha = 0.4 < 1/2, and the boundary alpha = 1/2): packing's 0
+    for p in (0.4, 0.5):
+        seq = ProbSequence.mfp(p)
+        assert dim_assouad(seq, 1, 2) == dim_packing(seq, 1, 2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "seq, n, m, k, t, streams",
+    [
+        (ProbSequence.mfp(0.9), 2, 2, 6, 2, 4),
+        (ProbSequence.power_telescope(0.5, 0.5), 2, 2, 4, 3, 8),
+    ],
+)
+def test_sampled_full_subtrees_match_the_law_behind_assouad(seq, n, m, k, t, streams):
+    # A = n rests on this: a live level-k cell keeps all m^(nt) descendants
+    # through level k + t with probability prod_{j<=t} p_{k+j}^(m^(nj))
+    params = PercolationParams(n, m, k + t, seq)
+    cells = full = 0
+    for stream in range(streams):
+        levels = generate(params, stream=stream).levels
+        cells += len(levels[k])
+        if len(levels[k + t]):
+            _, descendants = np.unique(levels[k + t] // m**t, axis=0, return_counts=True)
+            full += int(np.sum(descendants == m ** (n * t)))
+    want = math.prod(seq.p_at(k + j) ** (m ** (n * j)) for j in range(1, t + 1))
+    z = (full / cells - want) / math.sqrt(want * (1 - want) / cells)
+    assert abs(z) < 5, (full, cells, want)
 
 
 def test_power_explicit_tail_closed_forms_exact():
@@ -92,7 +123,7 @@ def test_power_explicit_tail_closed_forms_exact():
     dim = 2 + 1.5 * math.log(0.8) / math.log(3)
     assert alpha_estimate(seq) == (0.8**1.5, "analytic")
     assert dim_packing(seq, 2, 3) == dim
-    assert dim_assouad(seq, 2, 3) == dim
+    assert dim_assouad(seq, 2, 3) == 2.0
     assert expected_measure(seq, 2, 3) == 0.0
     assert expected_measure_limit(seq) == 0.0
 
@@ -111,8 +142,9 @@ def test_all_ones_every_dimension_windowed():
 def test_full_report_mfp_example_values():
     rep = full_report(ProbSequence.mfp(0.9), 2, 2)
     want = 2 + math.log2(0.9)
-    for value in (rep.hausdorff, rep.packing, rep.assouad, rep.box_lower, rep.box_upper):
+    for value in (rep.hausdorff, rep.packing, rep.box_lower, rep.box_upper):
         assert value == pytest.approx(want, abs=1e-12)
+    assert rep.assouad == 2.0
     assert rep.expected_measure == 0.0
     assert rep.method == "analytic"
     assert rep.window is None
@@ -135,7 +167,7 @@ def test_box_identities_hold_everywhere():
 def test_mfp_coincidence():
     rep = full_report(ProbSequence.mfp(0.55), 3, 2)
     assert abs(rep.hausdorff - rep.packing) < 1e-9
-    assert abs(rep.packing - rep.assouad) < 1e-9
+    assert rep.assouad == 3.0
 
 
 def test_degenerate_subcritical():
@@ -226,7 +258,7 @@ def _ordered(rep, tol=1e-9):
         (ProbSequence.power_telescope(0.1, 0.5), 1, 2, (16, 64), None),
         (ProbSequence.power(0.1, ExponentSpec.explicit_list([5.0], 0.01)), 1, 2, (16, 64),
          1 + 0.01 * math.log2(0.1)),
-        # no denominator left to push packing above Assouad on a short window
+        # no denominator left to push packing off Hausdorff on a short window
         (ProbSequence.mfp(0.5), 2, 2, (1, 9), 1.0),
         # the one table reaches k_hi and no further
         (ProbSequence.explicit([0.9] * 512), 1, 2, (64, 512), 1 + math.log2(0.9)),
@@ -235,8 +267,9 @@ def _ordered(rep, tol=1e-9):
 def test_windowed_report_small_windows_and_short_prefixes(seq, n, m, window, want):
     rep = full_report(seq, n, m, window=window, method="windowed")
     assert _ordered(rep)
+    assert rep.assouad == n  # every case survives
     if want is not None:
-        for value in (rep.hausdorff, rep.packing, rep.assouad):
+        for value in (rep.hausdorff, rep.packing):
             assert value == pytest.approx(want, abs=1e-12)
 
 
@@ -250,13 +283,13 @@ def test_windowed_packing_equals_hausdorff_past_the_prefix():
 
 
 def test_windowed_limsups_read_the_deeper_half_off_monotone():
-    # p_2 alone is high: packing reads only (1, k] with k >= 9, and the best
-    # sub-window for Assouad is packing's (1, 9], so A = P exactly
+    # p_2 alone is high: packing reads only (1, k] with k >= 9; the set
+    # survives (alpha = 0.675 > 1/2), so A = n
     with pytest.warns(UserWarning):
         seq = ProbSequence.explicit([0.5, 0.99] + [0.9] * 7, tail=0.5, strict=False)
     rep = full_report(seq, 1, 2, window=(1, 17), method="windowed")
     assert rep.packing == pytest.approx(1 + (math.log(0.99) + 7 * math.log(0.9)) / (8 * math.log(2)), abs=1e-12)
-    assert rep.assouad == rep.packing
+    assert rep.assouad == 1.0
     assert _ordered(rep)
 
 

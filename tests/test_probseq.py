@@ -309,6 +309,29 @@ def test_catalog_wire_dicts_exact(seq, wire):
     assert list(seq.to_dict().items()) == list(wire.items())
 
 
+@pytest.mark.parametrize(
+    "wire, unread",
+    [
+        ({"kind": "mfp", "p": 0.5, "a": 7.0}, "a"),
+        ({"kind": "mfp", "p": 0.5, "prefix": [0.1, 0.2]}, "prefix"),
+        ({"kind": "power_head", "p": 0.5, "a": 2.0, "tail": 1.0}, "tail"),
+        ({"kind": "power_telescope", "p": 0.5, "a": 0.5, "prefix": [1.0]}, "prefix"),
+        ({"kind": "explicit", "p": 0.5, "tail": 0.9}, "p"),
+        ({"kind": "explicit", "prefix": [0.9], "a": 0.5}, "a"),
+        ({"kind": "power", "p": 0.5, "a": 0.5, "prefix": [2.0], "tail": 1.0}, "prefix"),
+        ({"kind": "power", "p": 0.5, "tail": 1.0}, "tail"),
+    ],
+)
+def test_from_dict_rejects_fields_the_family_does_not_read(wire, unread):
+    with pytest.raises(InvalidParamsError, match=f"'{unread}'"):
+        ProbSequence.from_dict(wire)
+
+
+def test_from_dict_reads_null_fields_as_absent():
+    wire = {"kind": "mfp", "p": 0.5, "a": None, "prefix": None, "tail": None}
+    assert ProbSequence.from_dict(wire) == ProbSequence.mfp(0.5)
+
+
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(InvalidParamsError):
         ProbSequence.from_dict({"kind": "nope", "p": 0.5})
