@@ -2,7 +2,8 @@
 
 The grid is fixed: catalog families at ten base probabilities spanning
 (0, 1), a few explicit sequences (with and without a tail, one
-non-monotone), four geometries, five windows (two of them below the minimum
+non-monotone, and tails at and just above each survival boundary m^-n),
+four geometries, five windows (two of them below the minimum
 windowed span) and the three methods.  Every call prints the repr of what it
 returns, or ``(error type, message)`` when it raises.  Two versions of the
 package that print byte-identical output compute bit-identical values and
@@ -11,6 +12,7 @@ raise the same errors everywhere on the grid.
     PYTHONPATH=src python scripts/analytic_probe.py > probe.txt
 """
 
+import math
 import warnings
 
 from perclab import (
@@ -23,7 +25,6 @@ from perclab import (
     dim_hausdorff,
     dim_packing,
     expected_measure,
-    expected_measure_limit,
     full_report,
 )
 
@@ -47,6 +48,12 @@ def sequences():
     yield "explicit((0.3, 0.5), 0.7)", ProbSequence.explicit([0.3, 0.5], tail=0.7)
     yield "explicit((0.3, 0.5), 1.0)", ProbSequence.explicit([0.3, 0.5], tail=1.0)
     yield "explicit((), 1.0)", ProbSequence.explicit([], tail=1.0)
+    yield "explicit((0.9,) * 600, 1.0)", ProbSequence.explicit([0.9] * 600, tail=1.0)
+    for n, m in GEOMETRIES:
+        edge = float(m) ** (-n)
+        yield f"explicit((), {edge!r})", ProbSequence.explicit([], tail=edge)
+        above = math.nextafter(edge, 1.0)
+        yield f"explicit((), {above!r})", ProbSequence.explicit([], tail=above)
     yield "explicit((0.9,) * 512)", ProbSequence.explicit([0.9] * 512)
     yield "explicit((0.9,) * 20)", ProbSequence.explicit([0.9] * 20)
     with warnings.catch_warnings():
@@ -78,7 +85,6 @@ def main():
             for method in ("auto", "windowed"):
                 got = outcome(expected_measure, seq, n, m, method=method)
                 print(repr((label, "expected_measure", n, m, method, got)))
-        print(repr((label, "expected_measure_limit", outcome(expected_measure_limit, seq))))
 
 
 if __name__ == "__main__":

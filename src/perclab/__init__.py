@@ -17,7 +17,6 @@ from .dimensions import (
     dim_hausdorff,
     dim_packing,
     expected_measure,
-    expected_measure_limit,
     full_report,
 )
 from .engine import (
@@ -84,7 +83,6 @@ __all__ = [
     "dim_packing",
     "dim_assouad",
     "expected_measure",
-    "expected_measure_limit",
     "PercolationParams",
     "Realization",
     "generate",

@@ -426,7 +426,7 @@ def _estimator_row(cfg: dict, quantity: str, params: PercolationParams, rep) -> 
     family, fparams = _family_label(cfg)
     if quantity == "boxdim":
         theory = None
-        if params.seq.is_catalog:
+        if params.seq.limit is not None:
             theory = full_report(params.seq, params.n, params.m).hausdorff
         z = (rep.slope - theory) / rep.slope_std_error if (theory is not None and rep.slope_std_error > 0) else None
         return csv_row(

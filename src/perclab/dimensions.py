@@ -13,7 +13,8 @@ The paper writes packing as the limsup of the quotient
 Every representable sequence is bounded below (non-decreasing, or a finite
 prefix plus a tail), so the denominator is 1 + O(1/k) and drops out of the
 limsup.  Hausdorff, packing and both box dimensions are then extrema of
-Cesaro means of ln p_k, and a finite head shifts those means by O(1/k) only.
+Cesaro means of ln p_k.  Every sequence with a tail has p_k -> p_inf > 0,
+so the means tend to ln p_inf and all four dimensions are n + log_m p_inf.
 
 Assouad departs from the paper's claim that the other dimensions behave
 like Hausdorff.  With inf_k p_k > 0, a live level-k cell keeps a full
@@ -22,13 +23,13 @@ below in k, so on survival weak tangents almost surely contain a full cube
 and the Assouad dimension is n (Fraser, Miao & Troscheit, Ergodic Theory
 Dynam. Systems 38, 2018; Fraser, Assouad Dimension and Fractal Geometry,
 2020).  An almost surely empty set reports packing's value, 0 for every
-catalog family, so H <= P <= A holds by construction.
+sequence with a tail, so H <= P <= A holds by construction.
 
 Every function returns the deterministic almost-sure value; nothing here
 samples.  Each one reads one :class:`perclab.probseq._Limits` evaluation:
-closed forms for the catalog families, and for explicit sequences extrema of
-means over one finite window (k_lo, k_hi] of levels, labeled ``windowed``.
-The evaluator states both rules.
+p_inf and exact products for every sequence with a tail (``analytic``), and
+extrema of means over one window (k_lo, k_hi] of levels for a tail-less
+prefix or ``windowed``.  The evaluator states both rules.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import InternalInvariantError
-from .probseq import ANALYTIC, DEFAULT_WINDOW, LOG_UNDERFLOW, ProbSequence, _check_geometry, _Limits, _survives
+from .probseq import ANALYTIC, DEFAULT_WINDOW, ProbSequence, _check_geometry, _Limits, _survives
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class DimensionReport:
 def expected_measure(seq: ProbSequence, n: int, m: int, method: str = "auto") -> float:
     """Expected Lebesgue measure of the limit set, prod_k p_k.
 
-    Closed form: p^S(1) with S(1) = sum_k a_k, which diverges (product 0)
-    unless the exponents telescope to exactly 1 (product p).  The windowed
+    Exact wherever the sequence has a limit: p^S(1) for the catalog, and for
+    an explicit tail t the prefix product if t = 1, else 0.  The windowed
     value is the prefix product at the default window's k_hi.  The value does
     not depend on (n, m), which are checked as in :func:`full_report`.
     """
@@ -72,25 +73,9 @@ def expected_measure(seq: ProbSequence, n: int, m: int, method: str = "auto") ->
     return _Limits(seq, DEFAULT_WINDOW, method).measure
 
 
-def expected_measure_limit(seq: ProbSequence) -> float | None:
-    """The infinite-product limit, where it has a closed form; else None."""
-    if seq.is_catalog:
-        return expected_measure(seq, 1, 2, method="analytic")
-    if seq.tail is None:
-        return None
-    if seq.tail < 1.0:
-        return 0.0
-    log_measure = sum(math.log(v) for v in seq.prefix)
-    return 0.0 if log_measure < -LOG_UNDERFLOW else math.exp(log_measure)
-
-
-def _clamp(raw: float, n: int) -> tuple[float, bool]:
-    """Clamp a raw dimension to [0, n]; flag negatives as degenerate."""
-    if raw < 0.0:
-        return 0.0, True
-    if raw > n:
-        return float(n), False
-    return raw, False
+def _clamp(raw: float, n: int) -> float:
+    """Clamp a raw dimension to [0, n]."""
+    return min(max(raw, 0.0), float(n))
 
 
 def dim_hausdorff(
@@ -102,12 +87,6 @@ def dim_hausdorff(
     be negative and the full report flags it degenerate instead.
     """
     return full_report(seq, n, m, window, method).hausdorff
-
-
-def _hausdorff_raw(alpha: float, n: int, m: int) -> float:
-    if alpha <= 0.0:
-        return -math.inf
-    return n + math.log(alpha) / math.log(m)
 
 
 def dim_packing(
@@ -147,8 +126,9 @@ def full_report(
     """
     _check_geometry(n, m)
     limits = _Limits(seq, window, method)
-    hausdorff, degenerate = _clamp(_hausdorff_raw(limits.alpha, n, m), n)
-    packing = _clamp(n + limits.packing_log / math.log(m), n)[0]
+    log_alpha = math.log(limits.alpha) if limits.alpha > 0.0 else -math.inf
+    hausdorff = _clamp(n + log_alpha / math.log(m), n)
+    packing = _clamp(n + limits.packing_log / math.log(m), n)
     assouad = float(n) if _survives(limits.alpha, n, m) else packing
     measure = limits.measure
     # exact but for the rounding of Hausdorff's exp/log round trip through alpha
@@ -177,5 +157,5 @@ def full_report(
         window=None if limits.method == ANALYTIC else limits.window,
         n=n,
         m=m,
-        degenerate=degenerate,
+        degenerate=limits.alpha < float(m) ** (-n),
     )

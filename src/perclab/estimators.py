@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
-from .dimensions import expected_measure_limit
+from .dimensions import expected_measure
 from .engine import PercolationParams, level_probs, sample_counts
 from .errors import AllExtinctError, InvalidParamsError
 from .probseq import KIND_MFP
@@ -158,7 +158,7 @@ def estimate_measure(
         depth=K,
         theory=theory,
         z_score=z,
-        theory_limit=expected_measure_limit(params.seq),
+        theory_limit=None if params.seq.limit is None else expected_measure(params.seq, params.n, params.m),
     )
 
 

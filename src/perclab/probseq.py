@@ -8,7 +8,8 @@ the two tail statistics that classify the limit set:
     beta  = prod_k p_k^(m^(n k))                interior threshold
 
 The limit set is almost surely empty iff alpha <= m^(-n) (boundary counts as
-extinction), and almost surely has empty interior iff beta = 0.
+extinction), and almost surely has empty interior iff beta = 0, that is iff
+its log series diverges (a beta too small for a double is still positive).
 
 All products are carried in log space; exponentiation happens only at report
 boundaries, so depth beyond a few thousand levels never underflows.
@@ -44,6 +45,8 @@ INTERIOR_NONEMPTY = "non_empty_interior"
 
 DEFAULT_WINDOW = (64, 512)
 MIN_WINDOW_SPAN = 8
+# a windowed evaluation fills a table of k_hi + 1 logs, one Python call each
+MAX_WINDOW_TOP = 1 << 20
 
 # exp(-x) underflows to 0 in double precision for x beyond this: a log
 # product below -LOG_UNDERFLOW reads as 0, and so does beta once its partial
@@ -211,9 +214,11 @@ class ProbSequence:
     # -- evaluation ---------------------------------------------------------
 
     @property
-    def is_catalog(self) -> bool:
-        """True when closed forms exist for every tail statistic."""
-        return self.kind != KIND_EXPLICIT
+    def limit(self) -> float | None:
+        """lim_k p_k: p^c for the catalog, the tail for explicit; None without a tail."""
+        if self.kind == KIND_EXPLICIT:
+            return self.tail
+        return self.p ** self.exponents.cesaro_limit()
 
     def p_at(self, k: int) -> float:
         """Retention probability at subdivision round k (k >= 1)."""
@@ -355,10 +360,10 @@ class ClassifierReport:
 
 def resolve_method(seq: ProbSequence, method: str) -> str:
     if method == "auto":
-        return ANALYTIC if seq.is_catalog else WINDOWED
+        return WINDOWED if seq.limit is None else ANALYTIC
     if method == ANALYTIC:
-        if not seq.is_catalog:
-            raise InvalidParamsError("no closed forms for explicit sequences; use windowed")
+        if seq.limit is None:
+            raise InvalidParamsError("no closed forms for a prefix without a tail; use windowed")
         return ANALYTIC
     if method == WINDOWED:
         return WINDOWED
@@ -370,8 +375,8 @@ def check_window(window) -> tuple[int, int]:
         k_lo, k_hi = int(window[0]), int(window[1])
     except (TypeError, ValueError, IndexError) as exc:
         raise InvalidParamsError(f"window must be a (k_lo, k_hi) pair, got {window!r}") from exc
-    if not 1 <= k_lo < k_hi:
-        raise InvalidParamsError(f"window needs 1 <= k_lo < k_hi, got {(k_lo, k_hi)}")
+    if not 1 <= k_lo < k_hi <= MAX_WINDOW_TOP:
+        raise InvalidParamsError(f"window needs 1 <= k_lo < k_hi <= {MAX_WINDOW_TOP}, got {(k_lo, k_hi)}")
     return k_lo, k_hi
 
 
@@ -403,8 +408,9 @@ class _Limits:
         packing_log   the limsup of the means over (0, k]
         measure       prod_k p_k, 0 once its log is below -LOG_UNDERFLOW
 
-    ``analytic`` reads the exponent rule p_k = p^(a_k) with Cesaro limit c:
-    alpha = p^c, packing_log = c ln p, and measure = p^S(1).
+    ``analytic`` reads p_inf = :attr:`ProbSequence.limit`, the limit of every
+    sequence with a tail: alpha = p_inf, packing_log = ln p_inf, and the
+    measure is :func:`_exact_product`.
 
     ``windowed`` reads one :meth:`ProbSequence.cumulative_log` table through
     k_hi and takes extrema of means of ln p_l over (k_lo, k] for k in
@@ -417,20 +423,18 @@ class _Limits:
         measure       the prefix product at k_hi
 
     Packing's candidates are a subset of alpha's, so H <= P holds by
-    construction.  The extrema are exact for the monotone tails of the
-    catalog families and an honest, labeled approximation otherwise; the
-    minimum under-approximates the liminf on oscillating tails, which is why
-    ``auto`` takes the closed forms for the catalog.
+    construction.  The means carry O(1/(k - k_lo)) transients, so ``auto``
+    takes the limit wherever it exists; the window stays for tail-less
+    prefixes and as an explicit, labeled cross-check.
     """
 
     def __init__(self, seq: ProbSequence, window, method: str):
         self.window = check_window(window)
         self.method = resolve_method(seq, method)
         if self.method == ANALYTIC:
-            c = seq.exponents.cesaro_limit()
-            self.alpha = seq.p**c
-            self.packing_log = c * math.log(seq.p)
-            self.measure = seq.p ** seq.exponents.series(1)
+            self.alpha = seq.limit
+            self.packing_log = math.log(self.alpha) if self.alpha > 0.0 else -math.inf
+            self.measure = _exact_product(seq)[0]
             return
         _require_span(self.window)
         k_lo, k_hi = self.window
@@ -465,7 +469,10 @@ def beta_partial_log_sum(seq: ProbSequence, n: int, m: int, k_hi: int) -> float:
         lp = seq.log_p_at(k)
         if lp == 0.0:
             continue
-        s += math.exp(k * log_mn + math.log(-lp))
+        log_term = k * log_mn + math.log(-lp)
+        if log_term > math.log(LOG_UNDERFLOW):  # diverged, and exp could overflow
+            return math.inf
+        s += math.exp(log_term)
         if s > LOG_UNDERFLOW:
             break
     return s
@@ -476,19 +483,33 @@ def beta_estimate(
 ) -> tuple[float, str, bool]:
     """The interior statistic beta = prod p_k^(m^(nk)); (value, method, diverged).
 
-    Closed form: p^S with S = sum_k m^(nk) a_k, so a divergent exponent
-    series forces beta = 0.  The windowed fallback reports the partial
-    product at k_hi and flags divergence once the partial sums pass the
-    double-precision underflow threshold.
+    The closed form is :func:`_exact_product`.  The windowed fallback
+    reports the partial product at k_hi and flags divergence once the
+    partial sums pass the double-precision underflow threshold.
     """
     return _beta(seq, n, m, check_window(window), resolve_method(seq, method))
+
+
+def _exact_product(seq: ProbSequence, n: int = 0, m: int = 1) -> tuple[float, bool]:
+    """prod_k p_k^(m^(nk)) and whether its log series diverges: beta, or the measure at n = 0.
+
+    Catalog: p^S(m^n), diverged iff S = inf.  Explicit tail t < 1: 0 and
+    diverged; t = 1: the prefix product, 0 without diverging if it underflows.
+    """
+    if seq.kind != KIND_EXPLICIT:
+        s = seq.exponents.series(m**n)
+        return seq.p**s, math.isinf(s)
+    if seq.tail < 1.0:
+        return 0.0, True
+    s = beta_partial_log_sum(seq, n, m, len(seq.prefix))
+    return (0.0 if s > LOG_UNDERFLOW else math.exp(-s)), False
 
 
 def _beta(seq: ProbSequence, n: int, m: int, window: tuple[int, int], method: str):
     """:func:`beta_estimate` over a checked window by a resolved method."""
     if method == ANALYTIC:
-        s = seq.exponents.series(m**n)
-        return seq.p**s, ANALYTIC, math.isinf(s)
+        beta, diverged = _exact_product(seq, n, m)
+        return beta, ANALYTIC, diverged
     _require_span(window)
     s = beta_partial_log_sum(seq, n, m, window[1])
     if s > LOG_UNDERFLOW:
@@ -503,6 +524,7 @@ def classify(
 
     Pure function: identical inputs give bit-identical reports.  The survival
     boundary alpha = m^(-n) is classified as extinction (strict comparison).
+    The interior class reads beta's divergence flag, as beta can underflow.
     """
     _check_geometry(n, m)
     limits = _Limits(seq, window, method)
@@ -513,6 +535,6 @@ def classify(
         alpha_method=limits.method,
         beta_method=b_method,
         survival_class=SURVIVAL_POSITIVE if _survives(limits.alpha, n, m) else SURVIVAL_EMPTY,
-        interior_class=INTERIOR_NONEMPTY if beta > 0.0 else INTERIOR_EMPTY,
+        interior_class=INTERIOR_EMPTY if diverged else INTERIOR_NONEMPTY,
         beta_diverged=diverged,
     )

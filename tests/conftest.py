@@ -42,5 +42,17 @@ def catalog_seqs(p_lo=0.3, p_hi=0.97):
     )
 
 
+def explicit_tail_seqs():
+    def build(values, tail):
+        # a non-decreasing prefix below its tail, so p_k stays monotone
+        return ProbSequence.explicit(sorted(min(v, tail) for v in values), tail=tail)
+
+    return st.builds(
+        build,
+        st.lists(st.floats(0.05, 1.0), min_size=0, max_size=6),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    )
+
+
 def geometries():
     return st.tuples(st.integers(1, 3), st.integers(2, 3))

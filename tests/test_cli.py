@@ -299,26 +299,38 @@ def test_sequence_field_the_family_does_not_read_exit_3(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParamsError"
 
 
-# caps the child's address space before perclab starts, without preexec_fn,
-# which is unsafe once the test process runs threads
-_CAPPED_MAIN = (
-    "import resource, runpy, sys; cap = 3 << 30; "
-    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-    "sys.argv[0] = 'perclab'; runpy.run_module('perclab', run_name='__main__')"
-)
+def run_capped(cap: int, *argv):
+    """Run the CLI in a child whose address space is capped at ``cap`` bytes.
+
+    The cap is set before perclab starts, without preexec_fn, which is unsafe
+    once the test process runs threads.
+    """
+    capped_main = (
+        f"import resource, runpy, sys; cap = {cap}; "
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+        "sys.argv[0] = 'perclab'; runpy.run_module('perclab', run_name='__main__')"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", capped_main, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def test_huge_depth_rejected_before_m_to_the_depth_is_built():
     # 2^(10^11) would need 12.5 GB as an integer; the cap turns any attempt to
     # build it into a MemoryError instead of letting it take the machine
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, "survival", "--family", "mfp", "--p", "0.5", "--n", "1",
-         "--depth", "100000000000", "--reps", "100"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_capped(3 << 30, "survival", "--family", "mfp", "--p", "0.5", "--n", "1",
+                      "--depth", "100000000000", "--reps", "100")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
+
+
+def test_huge_window_top_rejected_before_the_log_table_is_built():
+    # a table through k_hi = 10^11 would ask for 745 GiB
+    proc = run_capped(1 << 30, "dims", "--family", "mfp", "--p", "0.9", "--n", "1",
+                      "--method", "windowed", "--window", "64:100000000000")
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import catalog_seqs, geometries
+from conftest import catalog_seqs, explicit_tail_seqs, geometries
 from perclab import (
     ExponentSpec,
     InvalidParamsError,
@@ -19,7 +19,6 @@ from perclab import (
     dim_hausdorff,
     dim_packing,
     expected_measure,
-    expected_measure_limit,
     full_report,
     generate,
 )
@@ -43,9 +42,9 @@ def test_measure_all_ones_is_one():
 
 
 def test_measure_limit_for_explicit_tails():
-    assert expected_measure_limit(ProbSequence.explicit([0.5], tail=0.9)) == 0.0
-    assert expected_measure_limit(ProbSequence.explicit([0.5, 0.8], tail=1.0)) == pytest.approx(0.4)
-    assert expected_measure_limit(ProbSequence.explicit([0.5])) is None
+    assert expected_measure(ProbSequence.explicit([0.5], tail=0.9), 1, 2) == 0.0
+    assert expected_measure(ProbSequence.explicit([0.5, 0.8], tail=1.0), 1, 2) == pytest.approx(0.4)
+    assert ProbSequence.explicit([0.5]).limit is None
 
 
 # -- single dimensions ----------------------------------------------------------
@@ -125,13 +124,12 @@ def test_power_explicit_tail_closed_forms_exact():
     assert dim_packing(seq, 2, 3) == dim
     assert dim_assouad(seq, 2, 3) == 2.0
     assert expected_measure(seq, 2, 3) == 0.0
-    assert expected_measure_limit(seq) == 0.0
 
 
 def test_all_ones_every_dimension_windowed():
     seq = ProbSequence.explicit([], tail=1.0)
     rep = full_report(seq, 2, 2)
-    assert rep.method == "windowed"
+    assert rep.method == "analytic"
     assert rep.hausdorff == rep.packing == rep.assouad == 2.0
     assert rep.expected_measure == 1.0
 
@@ -191,9 +189,62 @@ def test_report_float_fields_are_plain_floats(method):
     assert {f: type(getattr(rep, f)) for f in fields} == dict.fromkeys(fields, float)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(catalog_seqs(), explicit_tail_seqs()), geometries())
+def test_auto_reads_the_limit_of_every_sequence_with_a_tail(seq, nm):
+    n, m = nm
+    limit = seq.limit
+    assert alpha_estimate(seq) == (limit, "analytic")
+    rep = full_report(seq, n, m)
+    assert rep.method == "analytic"
+    assert rep.hausdorff == rep.packing == min(max(n + math.log(limit) / math.log(m), 0.0), n)
+    if seq.kind == "explicit":
+        want = pytest.approx(math.prod(seq.prefix), rel=1e-12) if seq.tail == 1.0 else 0.0
+        assert expected_measure(seq, n, m) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), max_size=4), geometries())
+def test_tail_at_the_survival_boundary_is_extinction(values, nm):
+    n, m = nm
+    edge = float(m) ** (-n)
+    prefix = sorted(v * edge for v in values)
+    at = ProbSequence.explicit(prefix, tail=edge)
+    assert classify(at, n, m).survival_class == "empty_as"
+    rep = full_report(at, n, m)
+    assert not rep.degenerate and rep.hausdorff == rep.assouad == 0.0
+    above = ProbSequence.explicit(prefix, tail=math.nextafter(edge, 1.0))
+    assert classify(above, n, m).survival_class == "positive_survival"
+    assert full_report(above, n, m).assouad == n
+
+
+def test_boundary_tail_not_degenerate_where_log_m_rounds():
+    # n + log_m(5^-3) rounds to -4.4e-16; the flag reads alpha against m^-n
+    rep = full_report(ProbSequence.explicit([], tail=5.0**-3), 3, 5)
+    assert rep.hausdorff == 0.0 and not rep.degenerate
+
+
+def test_underflowing_limit_is_degenerate_not_an_error():
+    # p_inf = (1e-300)^2 underflows to 0, and ln 0 must not be taken
+    seq = ProbSequence.power(1e-300, ExponentSpec.explicit_list([], 2.0))
+    rep = full_report(seq, 1, 2)
+    assert (rep.hausdorff, rep.packing, rep.assouad, rep.degenerate) == (0.0, 0.0, 0.0, True)
+
+
+def test_long_unit_tail_prefix_has_full_dimension_and_exact_measure():
+    seq = ProbSequence.explicit([0.9] * 600, tail=1.0)
+    rep = full_report(seq, 1, 2)
+    assert rep.hausdorff == rep.packing == 1.0
+    assert rep.expected_measure == pytest.approx(0.9**600, rel=1e-12)
+
+
 def test_analytic_method_refused_for_explicit():
-    with pytest.raises(Exception):
-        full_report(ProbSequence.explicit([0.9], tail=0.95), 1, 2, method="analytic")
+    # only a prefix without a tail lacks a limit
+    with pytest.raises(InvalidParamsError):
+        full_report(ProbSequence.explicit([0.9] * 600), 1, 2, method="analytic")
+    rep = full_report(ProbSequence.explicit([0.9], tail=0.95), 1, 2, method="analytic")
+    assert rep.method == "analytic"
+    assert rep.hausdorff == rep.packing == 1 + math.log(0.95) / math.log(2)
 
 
 @pytest.mark.parametrize("p", [0.55, 0.7, 0.9])

@@ -171,7 +171,7 @@ def test_beta_partial_product_example():
     prefix = [math.exp(-(8.0**-k)) for k in range(1, 41)]
     seq = ProbSequence.explicit(prefix, tail=1.0)
     rep = classify(seq, 1, 2)
-    assert rep.alpha_method == "windowed"
+    assert rep.alpha_method == "analytic"
     assert rep.beta == pytest.approx(math.exp(-1.0 / 3.0), abs=1e-9)
     assert rep.interior_class == "non_empty_interior"
     assert not rep.beta_diverged
@@ -184,9 +184,25 @@ def test_beta_divergence_flag_on_explicit():
     assert rep.interior_class == "empty_interior"
 
 
+def test_interior_read_from_the_divergence_flag():
+    # the exact beta is (1e-300)^3.5 = 1e-1050: positive, but below the double range
+    rep = classify(ProbSequence.power_telescope(1e-300, 0.3), 1, 2)
+    assert (rep.beta, rep.beta_diverged) == (0.0, False)
+    assert rep.interior_class == "non_empty_interior"
+
+
+def test_beta_term_past_the_double_range_diverges_without_overflow():
+    # the weight of the term at k = 1100 is 2^1100, past what exp can return
+    with pytest.warns(UserWarning):
+        seq = ProbSequence.explicit([1.0] * 1099 + [0.5], tail=1.0, strict=False)
+    assert beta_estimate(seq, 1, 2, window=(64, 1200), method="windowed") == (0.0, "windowed", True)
+    rep = classify(seq, 1, 2)
+    assert (rep.beta, rep.beta_diverged, rep.interior_class) == (0.0, False, "non_empty_interior")
+
+
 def test_window_too_small_only_for_windowed_path():
     with pytest.raises(WindowTooSmallError):
-        classify(ProbSequence.explicit([], tail=0.9), 1, 2, window=(10, 15))
+        classify(ProbSequence.explicit([], tail=0.9), 1, 2, window=(10, 15), method="windowed")
     # analytic path never touches the window beyond sanity checks
     rep = classify(ProbSequence.mfp(0.9), 1, 2, window=(10, 15))
     assert rep.alpha == 0.9
@@ -197,6 +213,10 @@ def test_window_sanity():
         classify(ProbSequence.mfp(0.9), 1, 2, window=(0, 64))
     with pytest.raises(InvalidParamsError):
         classify(ProbSequence.mfp(0.9), 1, 2, window=(64, 64))
+    # the windowed table holds k_hi + 1 logs, so the top is bounded
+    assert probseq.check_window((64, 1 << 20)) == (64, 1 << 20)
+    with pytest.raises(InvalidParamsError):
+        probseq.check_window((64, 10**11))
 
 
 def test_classify_is_pure():

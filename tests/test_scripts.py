@@ -60,8 +60,8 @@ def test_analytic_probe_prints_one_line_per_call(tmp_path):
     proc = run_script("analytic_probe.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # 76 sequences, each with 360 per-geometry calls, 15 alphas, 8 measures and one limit
-    assert len(lines) == 76 * 384
+    # 85 sequences, each with 360 per-geometry calls, 15 alphas and 8 measures
+    assert len(lines) == 85 * 383
     assert lines[0].startswith("('mfp(1e-300)', 'full_report', 1, 2, (64, 512), 'auto', DimensionReport(")
     assert any("WindowTooSmallError" in line for line in lines)
 
