@@ -401,8 +401,8 @@ def cmd_render(cfg: dict) -> str:
         raise ConfigError("render writes binary PGM; --out is required")
     _pick_format(cfg, ("pgm",), "pgm")
     level = params.depth if cfg["level"] is None else cfg["level"]
-    r = generate(params, stream=cfg["stream"])
-    data = pgm_bytes(render_raster(r, level))
+    # the realization is dropped once its level is rasterized
+    data = pgm_bytes(render_raster(generate(params, stream=cfg["stream"]), level))
     _atomic_write(cfg["out"], data)
     side = params.m**level
     # provenance for the binary output goes to stdout instead of the file

@@ -3,7 +3,9 @@
 One realization subdivides the unit n-cube into m^n children per cell,
 retaining each child of a surviving parent independently with probability
 p_k at round k, down to a finite depth K.  Only surviving cells are stored,
-as per-axis base-m coordinates, so memory tracks the live population.
+each level as its sorted row-major uint64 keys (8 bytes per cell) while
+they fit 64 bits, and as per-axis base-m coordinate rows past that, so
+memory tracks the live population.
 
 Randomness is a Philox-4x64 counter-based stream keyed by (seed, stream);
 variates are consumed in a fixed order (parents in sorted order, children in
@@ -28,10 +30,12 @@ from .probseq import KIND_EXPLICIT, ProbSequence
 
 DEFAULT_CELL_BUDGET = 1 << 26
 MAX_RASTER_SIDE = 4096
+_PGM_BLOCK = 256  # image columns converted at a time
 
 _MASK64 = (1 << 64) - 1
 _COORD_LIMIT = 1 << 63  # per-axis coordinates must stay packable
 _KEY_LIMIT = 1 << 64  # a packed level key must fit in uint64
+_CHUNK = 1 << 18  # candidates drawn and expanded at a time within one level
 
 
 def splitmix64(x: int) -> int:
@@ -113,36 +117,81 @@ class Realization:
     level k, sorted lexicographically with axis 0 most significant.  The
     cells nest: every level-k cell's parent (coordinates // m) survives at
     level k-1.  Arrays are read-only; instances are safe to share.
+
+    A level whose row-major keys sum_a X_a * (m^k)^(n-1-a) fit 64 bits
+    (m^(nk) <= 2^64) is held as its sorted uint64 keys, 8 bytes per cell;
+    a wider level is held as its coordinate rows.  ``levels`` is decoded
+    from the keys on first read and cached; ``counts``, ``measure_at`` and
+    ``survives`` read only each level's length.  The constructor takes
+    coordinate rows, as a handmade table or :func:`realization_from_dict`
+    gives them, and packs the levels that fit.
     """
 
-    __slots__ = ("params", "stream", "levels")
+    __slots__ = ("params", "stream", "_cells", "_levels")
 
     def __init__(self, params: PercolationParams, levels, stream: int = 0):
+        # copied, so freezing them leaves the caller's arrays as they were
+        rows = tuple(_frozen(np.array(a, dtype=np.uint64)) for a in levels)
+        cells = []
+        for k, a in enumerate(rows):
+            if _holds_keys(params, k):
+                side = params.m**k
+                if a.size and int(a.max()) >= side:
+                    raise InvalidParamsError(f"coordinate out of range at level {k}")
+                a = _pack(a, np.uint64(side))
+            cells.append(a)
+        self._init(params, cells, stream)
+        self._levels = rows
+
+    @classmethod
+    def _of_cells(cls, params: PercolationParams, cells, stream: int) -> "Realization":
+        """A realization from each level's keys, or rows where they do not fit."""
+        self = cls.__new__(cls)
+        self._init(params, cells, stream)
+        return self
+
+    def _init(self, params, cells, stream):
         self.params = params
         self.stream = stream
-        frozen = []
-        for arr in levels:
-            a = np.ascontiguousarray(arr, dtype=np.uint64)
-            a.setflags(write=False)
-            frozen.append(a)
-        self.levels = tuple(frozen)
+        self._cells = tuple(_frozen(a) for a in cells)
+        self._levels = None
+
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        if self._levels is None:
+            m, n = self.params.m, self.params.n
+            self._levels = tuple(
+                _frozen(_unpack(a, np.uint64(m**k), n)) if a.ndim == 1 else a
+                for k, a in enumerate(self._cells)
+            )
+        return self._levels
 
     @property
     def counts(self) -> list[int]:
-        return [int(a.shape[0]) for a in self.levels]
+        return [int(a.shape[0]) for a in self._cells]
 
     def measure_at(self, k: int) -> float:
         """Lebesgue measure of the level-k union: X_k * m^(-n k)."""
         if not 0 <= k <= self.params.depth:
             raise InvalidParamsError(f"level {k} outside [0, {self.params.depth}]")
-        return self.levels[k].shape[0] * float(self.params.m) ** (-self.params.n * k)
+        return self._cells[k].shape[0] * float(self.params.m) ** (-self.params.n * k)
 
     def survives(self) -> bool:
         """Finite-depth survival proxy: any cell alive at the deepest level.
 
         Overestimates true (infinite-depth) survival; deeper K tightens it.
         """
-        return self.levels[self.params.depth].shape[0] > 0
+        return self._cells[self.params.depth].shape[0] > 0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _holds_keys(params: PercolationParams, k: int) -> bool:
+    # a level-k key is below (m^k)^n
+    return (params.m**k) ** params.n <= _KEY_LIMIT
 
 
 def _digit_block(m: int, n: int) -> np.ndarray:
@@ -164,25 +213,43 @@ def _pack(cells: np.ndarray, side: np.uint64) -> np.ndarray:
 
 
 def _unpack(key: np.ndarray, side: np.uint64, n: int) -> np.ndarray:
-    """Coordinate rows of packed keys; consumes ``key``."""
+    """Coordinate rows of packed keys."""
     cells = np.empty((key.shape[0], n), dtype=np.uint64)
+    if n > 1:
+        key = key.copy()
     for axis in range(n - 1, 0, -1):
         np.divmod(key, side, out=(key, cells[:, axis]))
     cells[:, 0] = key
     return cells
 
 
-def _next_level_packed(parents, block, m, side, keep) -> np.ndarray:
-    # candidate keys in draw order: parents in sorted order, children in
-    # digit order; a child's key is m * (its parent's key at this side) plus
-    # its digit offset's key
+def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
+    """Sorted keys at ``side`` of the ``kept`` children that ``keep`` selects.
+
+    ``parents`` are the previous level's sorted keys (at side // m).  The
+    candidates are built in draw order (parents in sorted order, children in
+    digit order) about _CHUNK at a time: a chunk of parents is decoded, and
+    a child's key is m * (its parent's key at this side) plus its digit
+    offset's key.  Each chunk's kept keys go straight into the one array of
+    ``kept`` keys, which is then sorted in place, so beyond the mask a level
+    costs 8 bytes per kept cell plus one chunk.
+    """
+    n, mn = block.shape[1], block.shape[0]
     side64 = np.uint64(side)
-    base = _pack(parents, side64)
-    base *= np.uint64(m)
-    key = (base[:, None] + _pack(block, side64)[None, :]).reshape(-1)[keep]
-    if block.shape[1] > 1:
-        key.sort()  # keys are unique, so stability is moot
-    return _unpack(key, side64, block.shape[1])
+    parent_side = np.uint64(side // m)
+    offsets = _pack(block, side64)
+    out = np.empty(kept, dtype=np.uint64)
+    step = max(1, _CHUNK // mn)
+    pos = 0
+    for lo in range(0, parents.shape[0], step):
+        base = _pack(_unpack(parents[lo : lo + step], parent_side, n), side64)
+        base *= np.uint64(m)
+        chosen = (base[:, None] + offsets).reshape(-1)[keep[lo * mn : (lo + base.shape[0]) * mn]]
+        out[pos : pos + chosen.shape[0]] = chosen
+        pos += chosen.shape[0]
+    if n > 1:
+        out.sort()  # keys are unique, so stability is moot
+    return out
 
 
 def _next_level_lexsort(parents, block, m, keep) -> np.ndarray:
@@ -202,8 +269,10 @@ def _draw_levels(params: PercolationParams, stream: int, probs: tuple[float, ...
     the level and count (conservative on purpose: it also bounds peak
     memory).  Otherwise one uniform per candidate is drawn from the keyed
     stream in that order, and a child is kept iff its variate is strictly
-    below p_k, so p_k = 1 always retains.  Past a tail-less prefix, ``p_at``
-    raises.  Drawing stops after the first empty level.
+    below p_k, so p_k = 1 always retains.  A level past one chunk draws its
+    uniforms _CHUNK at a time: consecutive draws continue the stream, so the
+    variates are the same.  Past a tail-less prefix, ``p_at`` raises.
+    Drawing stops after the first empty level.
     """
     rng = stream_generator(params.seed, stream)
     mn = params.m**params.n
@@ -213,7 +282,12 @@ def _draw_levels(params: PercolationParams, stream: int, probs: tuple[float, ...
         if candidates > params.cell_budget:
             raise BudgetExceededError(k, candidates, params.cell_budget)
         p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
-        keep = rng.random(candidates) < p
+        if candidates <= _CHUNK:
+            keep = rng.random(candidates) < p
+        else:
+            keep = np.empty(candidates, dtype=bool)
+            for lo in range(0, candidates, _CHUNK):
+                np.less(rng.random(min(_CHUNK, candidates - lo)), p, out=keep[lo : lo + _CHUNK])
         kept = int(np.count_nonzero(keep))
         yield keep, kept
         if kept == 0:
@@ -224,26 +298,29 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     """Sample one realization level by level, drawing through :func:`_draw_levels`.
 
     Each level is ordered through one row-major uint64 key per cell,
-    sum_a X_a * (m^k)^(n-1-a): children are expanded as keys, selected,
-    sorted with ``ndarray.sort`` and decoded into coordinate columns.  A
-    level whose keys would pass 64 bits (m^(nk) > 2^64) expands coordinate
-    columns and orders them with ``np.lexsort`` instead.  Both give the same
-    sorted level.
+    sum_a X_a * (m^k)^(n-1-a): children are expanded as keys in chunks,
+    selected into one array and sorted in place with ``ndarray.sort``; the
+    level is kept as those keys.  A level whose keys would pass 64 bits
+    (m^(nk) > 2^64) expands coordinate rows and orders them with
+    ``np.lexsort`` instead.  Both give the same sorted level.
     """
     m, n = params.m, params.n
-    levels: list[np.ndarray] = [np.zeros((1, n), dtype=np.uint64)]
-    for k, (keep, _) in enumerate(_draw_levels(params, stream, level_probs(params)), 1):
+    cells: list[np.ndarray] = [np.zeros(1, dtype=np.uint64)]
+    for k, (keep, kept) in enumerate(_draw_levels(params, stream, level_probs(params)), 1):
         if k == 1:
             # only now that m^n candidates passed the budget: m^n may be ~2^63
             block = _digit_block(m, n)
         side = m**k
-        if side**n <= _KEY_LIMIT:
-            levels.append(_next_level_packed(levels[-1], block, m, side, keep))
+        parents = cells[-1]
+        if _holds_keys(params, k):
+            cells.append(_next_level_packed(parents, block, m, side, keep, kept))
         else:
-            levels.append(_next_level_lexsort(levels[-1], block, m, keep))
-    empty = np.zeros((0, n), dtype=np.uint64)
-    levels.extend([empty] * (params.depth + 1 - len(levels)))
-    return Realization(params, levels, stream)
+            if parents.ndim == 1:  # the first wide level decodes its packed parents
+                parents = _unpack(parents, np.uint64(side // m), n)
+            cells.append(_next_level_lexsort(parents, block, m, keep))
+    for k in range(len(cells), params.depth + 1):
+        cells.append(np.zeros(0 if _holds_keys(params, k) else (0, n), dtype=np.uint64))
+    return Realization._of_cells(params, cells, stream)
 
 
 def level_probs(params: PercolationParams) -> tuple[float, ...]:
@@ -287,7 +364,8 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
     """Binary occupancy grid of level k for a planar realization.
 
     Row 0 is the top of the image, i.e. the cells with maximal second
-    coordinate; columns follow the first coordinate.
+    coordinate; columns follow the first coordinate.  The grid is a
+    flipped, transposed view, not a C-ordered array.
     """
     params = realization.params
     if params.n != 2:
@@ -297,19 +375,16 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
     side = params.m**k
     if side > MAX_RASTER_SIDE:
         raise RasterTooLargeError(f"raster side m^k = {side} exceeds {MAX_RASTER_SIDE}")
-    grid = np.zeros((side, side), dtype=np.uint8)
-    cells = realization.levels[k]
-    if cells.shape[0]:
-        # row side-1-y, column x, as one index into the flat grid
-        flat = np.subtract(side - 1, cells[:, 1], dtype=np.intp)
-        flat *= side
-        np.add(flat, cells[:, 0], out=flat, dtype=np.intp)
-        grid.reshape(-1)[flat] = 1
-    return grid
+    # every level this small is held as keys; the key x * side + y is the flat
+    # index of cell (x, y) in the transposed grid, and sorted keys scatter
+    # in order.  Keys stay below 2^24, so their int64 view is exact.
+    flat = np.zeros(side * side, dtype=np.uint8)
+    flat[realization._cells[k].view(np.intp)] = 1
+    return flat.reshape(side, side).T[::-1]
 
 
 def pgm_bytes(grid: np.ndarray) -> bytes:
-    """Binary PGM (P5, maxval 255): vacant 0, occupied 255.
+    """Binary PGM (P5, maxval 255): vacant (zero) 0, occupied (nonzero) 255.
 
     Header is exactly ``P5\\n<w> <h>\\n255\\n`` so outputs are byte-stable.
     """
@@ -317,7 +392,15 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
         raise InvalidParamsError("grid must be 2-D")
     h, w = grid.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    return header + (grid.astype(np.uint8) * np.uint8(255)).tobytes()
+    # the C-ordered image is built once, as 0/1 bytes, and scaled in place;
+    # column blocks keep both a transposed grid's reads and the image's
+    # writes within cache
+    image = np.empty((h, w), dtype=np.uint8)
+    for lo in range(0, w, _PGM_BLOCK):
+        cols = slice(lo, lo + _PGM_BLOCK)
+        np.not_equal(grid[:, cols], 0, out=image[:, cols].view(bool))
+    image *= np.uint8(255)
+    return b"".join((header, image))
 
 
 # ---------------------------------------------------------------------------

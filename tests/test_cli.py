@@ -1,5 +1,6 @@
 """CLI surface: flags, configs, output formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -92,6 +93,29 @@ def test_render_pgm_golden(tmp_path, capsys):
     rc2, _, _ = run(capsys, *args)
     assert rc2 == 0
     assert out_path.read_bytes() == data1
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--m", "2", "--depth", "8", "--seed", "7"),
+         "080e7623f92e734bddd836dc325b2721e2dc535230137adf118525e27ebfd4d5"),
+        (("--m", "3", "--depth", "5", "--seed", "11"),
+         "d8e07152648870987dcda26c77a055d56e08df156a379a77f4876287a5cf3dee"),
+        (("--m", "2", "--depth", "9", "--seed", "3", "--level", "6"),
+         "91829980e9a3013311c056cbb2d77871ec5aa3b83ab7fdbfe9a6a5cc90cd8de0"),
+    ],
+)
+def test_render_pgm_pinned_digest(tmp_path, capsys, args, digest):
+    # sha256 of the PGM bytes: pins the draw order, the level ordering, the
+    # raster orientation and the PGM encoding together
+    out_path = tmp_path / "pinned.pgm"
+    rc, _, _ = run(
+        capsys, "render", "--family", "mfp", "--p", "0.9", "--n", "2", *args,
+        "--out", str(out_path),
+    )
+    assert rc == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_render_spec_scale(tmp_path, capsys):

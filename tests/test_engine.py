@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,92 @@ def test_levels_past_64_bit_keys_match_reference(n, m, depth, p, first_wide):
     _assert_sorted_and_nested(r)
 
 
+# -- chunked expansion and the packed level store -----------------------------------
+
+
+CHUNK_CASES = [(1, 2, 12, 0.8, 1), (2, 2, 6, 0.8, 2), (3, 2, 4, 0.8, 3), (2, 10, 10, 0.02, 0)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("n, m, depth, p, seed", CHUNK_CASES)
+def test_chunked_generate_matches_reference(monkeypatch, chunk, n, m, depth, p, seed):
+    # every tier-1 level fits one chunk at the real size, so shrink it: the
+    # draw and the expansion then cross chunk boundaries at every level,
+    # mid-parent for the draw whenever the chunk is not a multiple of m^n
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=seed)
+    r = generate(params)
+    assert r.counts[depth] > 1
+    _assert_levels_equal(r.levels, _reference_generate(params))
+
+
+def test_chunked_draw_gives_the_same_masks(monkeypatch):
+    params = _params(n=2, m=3, depth=5, seq=ProbSequence.mfp(0.7), seed=12)
+    probs = level_probs(params)
+    whole = list(engine._draw_levels(params, 0, probs))
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    chunked = list(engine._draw_levels(params, 0, probs))
+    assert len(whole) == len(chunked) == 5
+    assert whole[-1][0].shape[0] > 7  # the last level spans several chunks
+    for (a, x), (b, y) in zip(whole, chunked):
+        assert x == y
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, m, depth, p, seed", CHUNK_CASES)
+def test_realization_from_rows_equals_generated(n, m, depth, p, seed):
+    params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=seed)
+    rows = [lvl.copy() for lvl in generate(params).levels]
+    r = generate(params)  # its levels are decoded only below
+    handmade = Realization(params, rows)
+    assert handmade.counts == r.counts
+    _assert_levels_equal(handmade.levels, r.levels)
+    back = realization_from_dict(realization_to_dict(r))
+    assert back.counts == r.counts
+    _assert_levels_equal(back.levels, r.levels)
+    if (n, m) == (2, 2):
+        assert np.array_equal(render_raster(handmade, depth), render_raster(r, depth))
+
+
+def test_levels_are_decoded_once_and_read_only():
+    r = generate(_params(n=2, m=3, depth=3, seq=ProbSequence.mfp(0.8), seed=4))
+    assert r.levels is r.levels
+    assert not any(lvl.flags.writeable for lvl in r.levels)
+
+
+def test_constructor_leaves_the_callers_rows_writable():
+    rows = [np.zeros((1, 2), dtype=np.uint64), np.array([[0, 1]], dtype=np.uint64)]
+    r = Realization(_params(n=2, m=2, depth=1), rows)
+    assert all(a.flags.writeable for a in rows)
+    rows[1][0, 1] = 0  # the realization holds its own copy
+    assert r.levels[1].tolist() == [[0, 1]]
+
+
+def test_rows_past_the_level_side_rejected():
+    # a coordinate >= m^k would not survive packing into a level-k key
+    with pytest.raises(InvalidParamsError, match="out of range at level 1"):
+        Realization(_params(n=2, m=2, depth=1), [np.zeros((1, 2)), np.array([[0, 2]])])
+
+
+def test_generate_peak_memory_per_level_k_cell():
+    # render-large's shape: the packed store holds a level as 8 B keys and
+    # builds it from 1 B of mask per candidate plus one chunk, where
+    # coordinate columns next to the keys took ~33 B per level-K cell
+    params = PercolationParams(2, 2, 12, ProbSequence.mfp(0.95), seed=0)
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        r = generate(params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    assert peak < 16 * r.counts[12]
+
+
 # -- budget and parameter validation ----------------------------------------------
 
 
@@ -384,6 +471,21 @@ def test_pgm_bytes_exact():
     r = generate(_params(n=2, m=2, depth=1))
     data = pgm_bytes(render_raster(r, 1))
     assert data == b"P5\n2 2\n255\n" + b"\xff" * 4
+
+
+def test_pgm_maps_every_nonzero_value_to_255():
+    data = pgm_bytes(np.array([[0, 1], [2, 3]]))
+    assert data == b"P5\n2 2\n255\n" + b"\x00\xff\xff\xff"
+
+
+def test_pgm_of_a_strided_grid_matches_its_c_ordered_copy(monkeypatch):
+    monkeypatch.setattr(engine, "_PGM_BLOCK", 3)  # several column blocks
+    grid = np.random.default_rng(5).integers(0, 3, size=(11, 7)).astype(np.uint8)
+    view = grid.T[::-1]
+    assert pgm_bytes(view) == pgm_bytes(np.ascontiguousarray(view))
+    assert pgm_bytes(view)[len(b"P5\n11 7\n255\n"):] == (
+        np.where(np.ascontiguousarray(view) != 0, 255, 0).astype(np.uint8).tobytes()
+    )
 
 
 def test_pgm_header_for_larger_raster():
