@@ -8,10 +8,12 @@ on stderr (``argparse`` for a usage message, None when there is none).  Two
 versions of the package that print the same line for a call gave that call
 the same bytes and the same exit code.
 
-Config files and outputs go to fixed names in the current directory, so the
-echoed configs, and with them the hashes, compare across runs:
+Config files and outputs go to fixed relative names inside a temporary
+directory that the script makes, enters and removes, so the echoed configs,
+and with them the hashes, compare across runs, and the directory it is run
+from is left as it was:
 
-    mkdir probe && cd probe && PYTHONPATH=../src python ../scripts/cli_probe.py > cli.txt
+    PYTHONPATH=src python scripts/cli_probe.py > cli.txt
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from perclab import cli
@@ -160,7 +163,7 @@ def call(argv: tuple[str, ...]) -> tuple:
     return argv, code, sha256(stdout.getvalue().encode("utf-8")), out_sha, error_type(code, stderr.getvalue())
 
 
-def main():
+def run_matrix():
     for argv in FLAG_CALLS:
         print(repr(call(argv)))
     with open("probe_bad.json", "w", encoding="utf-8") as fh:
@@ -171,6 +174,16 @@ def main():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(fields, fh)
         print(repr((fields, call((command, "--config", path, *flags)))))
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cli-probe-") as scratch:
+        os.chdir(scratch)
+        try:
+            run_matrix()
+        finally:
+            os.chdir(home)
 
 
 if __name__ == "__main__":

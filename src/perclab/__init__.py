@@ -61,10 +61,6 @@ from .witness import (
     WitnessComponent,
     WitnessReport,
     WitnessSpec,
-    build_fractional_dim_witness,
-    build_integer_dim_witness,
-    build_positive_measure_witness,
-    build_union_witness,
     build_witness,
     format_witness_ledger,
 )
@@ -103,10 +99,6 @@ __all__ = [
     "WitnessComponent",
     "Box",
     "build_witness",
-    "build_fractional_dim_witness",
-    "build_integer_dim_witness",
-    "build_positive_measure_witness",
-    "build_union_witness",
     "format_witness_ledger",
     "PercLabError",
     "InvalidParamsError",

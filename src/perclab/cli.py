@@ -44,8 +44,6 @@ from .estimators import (
 from .probseq import DEFAULT_WINDOW, ProbSequence, classify
 from .witness import WitnessSpec, build_witness, format_witness_ledger
 
-THREADS_ENV = "PERC_LAB_THREADS"
-
 
 class ConfigError(Exception):
     """Structural problem with flags or the config file (exit code 2)."""
@@ -129,13 +127,7 @@ def _threads(value) -> int:
     threads = _integer(value)
     if threads < 1:
         raise ValueError(f"must be >= 1, got {threads}")
-    cap = os.environ.get(THREADS_ENV)
-    if not cap:
-        return threads
-    try:
-        return min(threads, max(1, int(cap)))
-    except ValueError as exc:
-        raise ConfigError(f"${THREADS_ENV} must be an integer") from exc
+    return threads
 
 
 class _Option(NamedTuple):
@@ -163,7 +155,7 @@ _OPTIONS = {
     "stream": _Option("--stream", _integer, 0, "replicate stream index"),
     "level": _Option("--level", _integer, None, "level to rasterize (default: depth)"),
     "replicates": _Option("--reps", _integer, 1000, "replicate count"),
-    "threads": _Option("--threads", _threads, 1, f"worker threads (capped by ${THREADS_ENV})"),
+    "threads": _Option("--threads", _threads, 1, "worker threads"),
     "window": _Option("--window", _pair, DEFAULT_WINDOW, "k_lo:k_hi evaluation window"),
     "method": _Option("--method", _text, "auto", "dimension method", ("auto", "analytic", "windowed")),
     "fit": _Option("--fit", _pair, None, "k_min:k_max fit levels (boxdim)"),

@@ -132,6 +132,8 @@ class Realization:
     def __init__(self, params: PercolationParams, levels, stream: int = 0):
         # copied, so freezing them leaves the caller's arrays as they were
         rows = tuple(_frozen(np.array(a, dtype=np.uint64)) for a in levels)
+        if len(rows) != params.depth + 1:
+            raise InvalidParamsError(f"expected {params.depth + 1} levels, got {len(rows)}")
         cells = []
         for k, a in enumerate(rows):
             if _holds_keys(params, k):
@@ -417,14 +419,9 @@ def realization_to_dict(r: Realization) -> dict:
 
 def realization_from_dict(d: dict) -> Realization:
     params = PercolationParams.from_dict(d)
-    raw_levels = d["levels"]
-    if len(raw_levels) != params.depth + 1:
-        raise InvalidParamsError(
-            f"expected {params.depth + 1} levels, got {len(raw_levels)}"
-        )
     levels = []
     prev: set[tuple[int, ...]] | None = None
-    for k, rows in enumerate(raw_levels):
+    for k, rows in enumerate(d["levels"]):
         arr = np.array(rows, dtype=np.uint64).reshape(len(rows), params.n)
         limit = params.m**k
         if arr.size and int(arr.max()) >= limit:

@@ -13,9 +13,10 @@ region, whose sequences realize the target analytically:
                                    translated cube [b, 2b]^n next to the
                                    case-appropriate block in [0, b]^n
 
-Combined values follow two exact rules: dimension of a finite union is the
-max over components, and expected measure adds over regions with pairwise
-disjoint interiors.
+build_witness is the one entry point.  WitnessReport derives the combined
+values by two exact rules: dimension of a finite union is the max over
+components, and expected measure adds over regions with pairwise disjoint
+interiors.
 """
 
 from __future__ import annotations
@@ -32,16 +33,18 @@ CASE_INTEGER = "integer_dim_zero_measure"
 CASE_POSITIVE = "positive_measure"
 CASE_UNION = "dim_measure_union"
 
-_CASE_ALIASES = {
+# short name -> case; each case also answers to its own name
+_CASES = {
     "fractional": CASE_FRACTIONAL,
-    CASE_FRACTIONAL: CASE_FRACTIONAL,
     "integer": CASE_INTEGER,
-    CASE_INTEGER: CASE_INTEGER,
     "positive": CASE_POSITIVE,
-    CASE_POSITIVE: CASE_POSITIVE,
     "union": CASE_UNION,
-    CASE_UNION: CASE_UNION,
 }
+
+# the families' shape parameter a: the predictions do not depend on it, so
+# each value gives a distinct law with the same dimension and measure
+_HEAD_EXPONENT = 1.0
+_TELESCOPE_GAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,9 @@ class WitnessSpec:
     terms: int = 8
 
     def __post_init__(self):
-        case = _CASE_ALIASES.get(str(self.case).strip().lower())
-        if case is None:
+        case = str(self.case).strip().lower()
+        case = _CASES.get(case, case)
+        if case not in _CASES.values():
             raise InvalidParamsError(f"unknown witness case {self.case!r}")
         object.__setattr__(self, "case", case)
         if self.r <= 0.0:
@@ -134,6 +138,8 @@ class WitnessSpec:
             raise InvalidParamsError("subdivision index m must be >= 2")
         if self.case == CASE_POSITIVE and self.l <= 0.0:
             raise InvalidParamsError("positive_measure case needs l > 0")
+        if self.case in (CASE_FRACTIONAL, CASE_INTEGER) and self.l > 0.0:
+            raise InvalidParamsError(f"{self.case} case needs l = 0, got l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,12 @@ class WitnessReport:
     """Components plus the combined dimension/measure ledger.
 
     Construction checks that the component regions have pairwise disjoint
-    interiors.
+    interiors, which is what lets the measure rule add over them.
     """
 
     n: int
     m: int
     components: tuple[WitnessComponent, ...]
-    combined_dim: float
-    combined_measure: float
     target_dim: float
     target_measure: float
     truncation_gap: float = 0.0
@@ -161,6 +165,19 @@ class WitnessReport:
                 raise InternalInvariantError(
                     f"witness regions {i} and {j} overlap: {a.region} vs {b.region}"
                 )
+
+    @property
+    def combined_dim(self) -> float:
+        """Dimension of a finite union: the max over its components."""
+        return max(c.predicted_dim for c in self.components)
+
+    @property
+    def combined_measure(self) -> float:
+        """Expected measure over disjoint regions: the sum, in component order."""
+        total = 0.0
+        for c in self.components:
+            total += c.predicted_measure
+        return total
 
     def to_dict(self) -> dict:
         return {
@@ -175,55 +192,33 @@ class WitnessReport:
         }
 
 
-_UNIT = lambda n: Box((0.0,) * n, 1.0)  # noqa: E731
-
-
-def _head_component(dim_target: float, n: int, m: int, region: Box, a: float, label: str) -> WitnessComponent:
+def _head_component(dim_target: float, n: int, m: int, region: Box, label: str) -> WitnessComponent:
     """Measure-0 block of exact dimension dim_target in (0, n), via p = m^(dim - n)."""
-    if not 0.0 < dim_target < n:
-        raise InvalidParamsError(f"head component needs 0 < dim < n, got {dim_target}")
     p = float(m) ** (dim_target - n)
-    seq = ProbSequence.power_head(p, a)
+    seq = ProbSequence.power_head(p, _HEAD_EXPONENT)
     return WitnessComponent(region, seq, predicted_dim=dim_target, predicted_measure=0.0, label=label)
 
 
-def build_fractional_dim_witness(r: float, n: int, m: int, a: float = 1.0) -> WitnessReport:
-    """Dimension r (non-integer), expected measure 0, inside the unit cube.
+# a case builder takes a validated spec and returns its components and truncation gap
+_Built = tuple[tuple[WitnessComponent, ...], float]
 
-    p = m^(r - n) puts the dimension at exactly r; the free head exponent a
-    indexes a continuum of distinct sequences with identical predictions.
+
+def _fractional(spec: WitnessSpec) -> _Built:
+    """Dimension r (non-integer), measure 0: one block at p = m^(r - n) in the unit cube."""
+    if spec.r == math.floor(spec.r):
+        raise InvalidParamsError(f"fractional witness needs a non-integer r, got {spec.r}")
+    return (_head_component(spec.r, spec.n, spec.m, Box((0.0,) * spec.n, 1.0), "dim_carrier"),), 0.0
+
+
+def _integer(spec: WitnessSpec) -> _Built:
+    """Integer dimension r, measure 0: J blocks at dims r - 2^-k, k = 1..J.
+
+    The blocks sit in disjoint cubes of side 1/J along axis 0 of the unit
+    cube.  Their sup is r; the J-term truncation reaches r - 2^-J.
     """
-    if r <= 0.0 or r == math.floor(r):
-        raise InvalidParamsError(
-            f"fractional witness needs a non-integer r > 0 (got {r}); "
-            "integer targets use the union-of-approximants build"
-        )
-    if n < math.ceil(r):
-        raise InvalidParamsError(f"need n >= ceil(r), got n={n}, r={r}")
-    comp = _head_component(r, n, m, _UNIT(n), a, "dim_carrier")
-    return WitnessReport(
-        n=n,
-        m=m,
-        components=(comp,),
-        combined_dim=r,
-        combined_measure=0.0,
-        target_dim=r,
-        target_measure=0.0,
-    )
-
-
-def build_integer_dim_witness(r: int, n: int, m: int, terms: int = 8, a: float = 1.0) -> WitnessReport:
-    """Integer dimension r, measure 0: J fractional blocks at dims r - 2^-k.
-
-    The blocks sit in disjoint translated cubes of side 1/J inside the unit
-    cube.  Their dimension sup is r; the J-term truncation reaches exactly
-    r - 2^-J, reported as combined_dim with the gap alongside.
-    """
-    if r <= 0 or float(r) != math.floor(r):
-        raise InvalidParamsError(f"integer witness needs a positive integer r, got {r}")
-    r = int(r)
-    if n < r:
-        raise InvalidParamsError(f"need n >= r, got n={n}, r={r}")
+    r, n, terms = spec.r, spec.n, spec.terms
+    if r != math.floor(r):
+        raise InvalidParamsError(f"integer witness needs an integer r, got {r}")
     if terms < 2:
         raise InvalidParamsError(f"need at least 2 union terms, got {terms}")
     if r - 2.0**-terms == r:
@@ -233,95 +228,56 @@ def build_integer_dim_witness(r: int, n: int, m: int, terms: int = 8, a: float =
     side = 1.0 / terms
     comps = []
     for k in range(1, terms + 1):
-        lo = ((k - 1) * side,) + (0.0,) * (n - 1)
-        comps.append(
-            _head_component(r - 2.0**-k, n, m, Box(lo, side), a, f"approximant_{k}")
-        )
-    return WitnessReport(
-        n=n,
-        m=m,
-        components=tuple(comps),
-        combined_dim=r - 2.0**-terms,
-        combined_measure=0.0,
-        target_dim=float(r),
-        target_measure=0.0,
-        truncation_gap=2.0**-terms,
-    )
+        slot = Box(((k - 1) * side,) + (0.0,) * (n - 1), side)
+        comps.append(_head_component(r - 2.0**-k, n, spec.m, slot, f"approximant_{k}"))
+    return tuple(comps), 2.0**-terms
 
 
-def build_positive_measure_witness(l: float, n: int, m: int, a: float = 0.5) -> WitnessReport:
-    """Expected measure exactly l > 0 at full dimension n.
+def _positive(spec: WitnessSpec) -> _Built:
+    """Measure l > 0 at dimension n: a telescope at p = l / (floor(l) + 1).
 
-    A telescoping family at p = l / (floor(l) + 1) has expected unit-cube
-    measure p; scaling the cube to side b = (floor(l) + 1)^(1/n) multiplies
-    it by b^n, landing exactly on l.
+    Its unit-cube measure p scales to l in the cube [0, b]^n, b^n = floor(l) + 1.
     """
-    if l <= 0.0:
-        raise InvalidParamsError(f"positive-measure witness needs l > 0, got {l}")
+    l, n = spec.l, spec.n
     scale = math.floor(l) + 1.0
     p = l / scale
     b = scale ** (1.0 / n)
-    seq = ProbSequence.power_telescope(p, a)
     if abs(b**n * p - l) > 1e-9:
         raise InternalInvariantError(f"measure scaling drifted: {b**n * p!r} != {l!r}")
+    seq = ProbSequence.power_telescope(p, _TELESCOPE_GAP)
     comp = WitnessComponent(
         Box((0.0,) * n, b), seq, predicted_dim=float(n), predicted_measure=l, label="measure_carrier"
     )
-    return WitnessReport(
-        n=n,
-        m=m,
-        components=(comp,),
-        combined_dim=float(n),
-        combined_measure=l,
-        target_dim=float(n),
-        target_measure=l,
-    )
+    return (comp,), 0.0
 
 
-def build_union_witness(spec: WitnessSpec) -> WitnessReport:
-    """The two-block union: dimension r if l = 0 else n, expected measure l.
+def _union(spec: WitnessSpec) -> _Built:
+    """The target's own block in [0, b]^n beside a low block in [b, 2b]^n.
 
-    Block G2 in [0, b]^n carries the target (b = (floor(l)+1)^(1/n)); block
-    G1 in the translated cube [b, 2b]^n is a measure-0 head component at
-    dimension r/2, which never wins the max rule.  Disjoint regions make the
-    combined measure exactly l.
+    b = (floor(l)+1)^(1/n).  The low block has measure 0 and dimension r/2,
+    so it never wins the max rule.
     """
-    r, l, n, m = spec.r, spec.l, spec.n, spec.m
+    r, l, n = spec.r, spec.l, spec.n
+    block = _positive if l > 0.0 else (_integer if r == math.floor(r) else _fractional)
+    comps, gap = block(spec)
     b = (math.floor(l) + 1.0) ** (1.0 / n)
-    if l == 0.0:
-        if r == math.floor(r):
-            g2 = build_integer_dim_witness(int(r), n, m, terms=spec.terms)
-        else:
-            g2 = build_fractional_dim_witness(r, n, m)
-    else:
-        g2 = build_positive_measure_witness(l, n, m)
-    g1 = _head_component(r / 2.0, n, m, Box((b,) * n, b), a=1.0, label="low_dim_block")
-    comps = g2.components + (g1,)
-    combined_dim = max(c.predicted_dim for c in comps)
-    combined_measure = 0.0
-    for c in comps:
-        combined_measure += c.predicted_measure
-    return WitnessReport(
-        n=n,
-        m=m,
-        components=comps,
-        combined_dim=combined_dim,
-        combined_measure=combined_measure,
-        target_dim=r if l == 0.0 else float(n),
-        target_measure=l,
-        truncation_gap=g2.truncation_gap,
-    )
+    low = _head_component(r / 2.0, n, spec.m, Box((b,) * n, b), "low_dim_block")
+    return comps + (low,), gap
+
+
+_BUILDERS = {
+    CASE_FRACTIONAL: _fractional,
+    CASE_INTEGER: _integer,
+    CASE_POSITIVE: _positive,
+    CASE_UNION: _union,
+}
 
 
 def build_witness(spec: WitnessSpec) -> WitnessReport:
-    """Dispatch a WitnessSpec to its case builder."""
-    if spec.case == CASE_FRACTIONAL:
-        return build_fractional_dim_witness(spec.r, spec.n, spec.m)
-    if spec.case == CASE_INTEGER:
-        return build_integer_dim_witness(spec.r, spec.n, spec.m, terms=spec.terms)
-    if spec.case == CASE_POSITIVE:
-        return build_positive_measure_witness(spec.l, spec.n, spec.m)
-    return build_union_witness(spec)
+    """The witness for spec's case: dimension r if l = 0 and n otherwise, measure l."""
+    components, gap = _BUILDERS[spec.case](spec)
+    target_dim, target_measure = (float(spec.r) if spec.l == 0 else float(spec.n), float(spec.l))
+    return WitnessReport(spec.n, spec.m, components, target_dim, target_measure, gap)
 
 
 # ---------------------------------------------------------------------------

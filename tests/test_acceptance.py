@@ -25,7 +25,7 @@ from perclab import (
     ProbSequence,
     WitnessSpec,
     branching_extinction_prob,
-    build_union_witness,
+    build_witness,
     estimate_boxdim,
     estimate_measure,
     estimate_survival,
@@ -226,16 +226,16 @@ def test_criterion_7_witness_ledger():
     t0 = time.perf_counter()
     ok = True
     # (r, l) = (0.5, 0)
-    rep = build_union_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2))
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="union"))
     ok &= rep.combined_dim == 0.5 and rep.combined_measure == 0.0
     # (1, 0) with J = 8: truncation sits exactly 2^-8 below the target
-    rep = build_union_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, terms=8))
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, terms=8, case="union"))
     ok &= rep.combined_dim == 1 - 2.0**-8 and rep.combined_measure == 0.0
     # (1, 1.5)
-    rep15 = build_union_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
+    rep15 = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union"))
     ok &= rep15.combined_dim == 1.0 and rep15.combined_measure == 1.5
     # (2, 2.5) in the plane
-    rep = build_union_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2))
+    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union"))
     ok &= rep.combined_dim == 2.0 and rep.combined_measure == 2.5
 
     # Monte Carlo cross-check on the (1, 1.5) witness

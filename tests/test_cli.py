@@ -196,6 +196,37 @@ def test_witness_ledger(capsys):
     assert "max over components" in out
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3"),
+         "ab5d06dd11f88df5769baba45b29641dab0755cb3a73b7f0ee98fec5678a1b7b"),
+        (("--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
+         "512fdc9fd81ffaf79293a45a4bf46ba85b98aaa8f4939665db78b1ba5e578059"),
+        (("--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
+         "f08eb67fa37dfb168e7cbe59e59657c7a4f91daa93483e299bd2c2a1adfd5b97"),
+        (("--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
+         "41fb997aa0daf7a12ac60ae617f0ba7d0996ec2ada20a7b9fe701e3acfdaf93b"),
+    ],
+)
+def test_witness_json_pinned_digest(capsys, args, digest):
+    # sha256 of stdout: pins each case's components, regions, sequences, the
+    # combined ledger and the target together
+    rc, out, _ = run(capsys, "witness", *args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case, r", [("fractional", "0.5"), ("integer", "1")])
+def test_witness_measure_for_a_zero_measure_case_exit_3(capsys, case, r):
+    # the zero-measure cases cannot carry l > 0: refused, not silently dropped
+    rc, out, err = run(capsys, "witness", "--case", case, "--r", r, "--l", "1.5", "--n", "1", "--m", "2")
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParamsError"
+    assert "l = 0" in payload["message"]
+
+
 # -- sweep -------------------------------------------------------------------------------
 
 

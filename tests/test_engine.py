@@ -381,6 +381,15 @@ def test_rows_past_the_level_side_rejected():
         Realization(_params(n=2, m=2, depth=1), [np.zeros((1, 2)), np.array([[0, 2]])])
 
 
+def test_level_count_other_than_depth_plus_one_rejected():
+    # one level short of depth 3: survives() and measure_at(3) would have nothing to read
+    params = PercolationParams(2, 2, 3, ProbSequence.mfp(0.9))
+    with pytest.raises(InvalidParamsError, match="expected 4 levels, got 2"):
+        Realization(params, [np.zeros((1, 2)), [[0, 1]]])
+    with pytest.raises(InvalidParamsError, match="expected 4 levels, got 2"):
+        realization_from_dict({**realization_to_dict(generate(params)), "levels": [[[0, 0]], [[0, 1]]]})
+
+
 def test_generate_peak_memory_per_level_k_cell():
     # render-large's shape: the packed store holds a level as 8 B keys and
     # builds it from 1 B of mask per candidate plus one chunk, where

@@ -84,6 +84,8 @@ def test_sample_probe_prints_one_line_per_case(tmp_path):
 def test_cli_probe_prints_one_line_per_call(tmp_path):
     proc = run_script("cli_probe.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
+    # configs and outputs go to the script's own temporary directory
+    assert not list(tmp_path.iterdir())
     calls = []
     for line in proc.stdout.splitlines():
         got = ast.literal_eval(line)

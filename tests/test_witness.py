@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perclab import (
     Box,
@@ -13,10 +15,6 @@ from perclab import (
     WitnessComponent,
     WitnessReport,
     WitnessSpec,
-    build_fractional_dim_witness,
-    build_integer_dim_witness,
-    build_positive_measure_witness,
-    build_union_witness,
     build_witness,
     estimate_measure,
     format_witness_ledger,
@@ -28,7 +26,7 @@ from perclab import (
 
 
 def test_fractional_half_line():
-    rep = build_fractional_dim_witness(0.5, 1, 2)
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="fractional"))
     assert rep.combined_dim == 0.5
     assert rep.combined_measure == 0.0
     (comp,) = rep.components
@@ -36,7 +34,7 @@ def test_fractional_half_line():
 
 
 def test_fractional_plane():
-    rep = build_fractional_dim_witness(1.5, 2, 3)
+    rep = build_witness(WitnessSpec(r=1.5, l=0.0, n=2, m=3, case="fractional"))
     (comp,) = rep.components
     assert comp.seq.p == pytest.approx(3.0**-0.5, rel=1e-15)
     assert rep.combined_dim == 1.5
@@ -44,19 +42,19 @@ def test_fractional_plane():
 
 def test_fractional_rejects_integer():
     with pytest.raises(InvalidParamsError):
-        build_fractional_dim_witness(2.0, 2, 2)
+        build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=2, case="fractional"))
 
 
 def test_fractional_needs_room():
     with pytest.raises(InvalidParamsError):
-        build_fractional_dim_witness(1.5, 1, 2)
+        build_witness(WitnessSpec(r=1.5, l=0.0, n=1, m=2, case="fractional"))
 
 
 # -- integer (union of approximants) -------------------------------------------------
 
 
 def test_integer_union_dims_ladder():
-    rep = build_integer_dim_witness(1, 1, 2, terms=8)
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=8))
     dims = [c.predicted_dim for c in rep.components]
     assert dims == [1 - 2.0**-k for k in range(1, 9)]
     assert rep.combined_dim == 1 - 2.0**-8
@@ -66,32 +64,32 @@ def test_integer_union_dims_ladder():
 
 
 def test_integer_union_two_terms():
-    rep = build_integer_dim_witness(1, 1, 2, terms=2)
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=2))
     assert rep.combined_dim == 0.75
 
 
 def test_integer_rejects_fractional_and_bad_terms():
     with pytest.raises(InvalidParamsError):
-        build_integer_dim_witness(1.5, 2, 2)
+        build_witness(WitnessSpec(r=1.5, l=0.0, n=2, m=2, case="integer"))
     with pytest.raises(InvalidParamsError):
-        build_integer_dim_witness(1, 1, 2, terms=1)
+        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=1))
 
 
 @pytest.mark.parametrize("terms", [54, 60])
 def test_integer_rejects_terms_past_double_precision(terms):
     # 1 - 2^-54 rounds to 1, so the last approximant would sit at the target itself
     with pytest.raises(InvalidParamsError, match=f"terms={terms}"):
-        build_integer_dim_witness(1, 1, 2, terms=terms)
+        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=terms))
 
 
 def test_integer_accepts_terms_up_to_double_precision():
-    rep = build_integer_dim_witness(1, 1, 2, terms=53)
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=53))
     assert len(rep.components) == 53
     assert rep.combined_dim == 1 - 2.0**-53 < 1.0
 
 
 def test_integer_union_regions_disjoint():
-    rep = build_integer_dim_witness(2, 2, 3, terms=4)
+    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, case="integer", terms=4))
     boxes = [c.region for c in rep.components]
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -102,7 +100,7 @@ def test_integer_union_regions_disjoint():
 
 
 def test_positive_measure_line():
-    rep = build_positive_measure_witness(1.5, 1, 2)
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive"))
     (comp,) = rep.components
     assert comp.seq.p == 0.75
     assert comp.region.side == 2.0
@@ -111,7 +109,7 @@ def test_positive_measure_line():
 
 
 def test_positive_measure_small_plane():
-    rep = build_positive_measure_witness(0.25, 2, 2)
+    rep = build_witness(WitnessSpec(r=2.0, l=0.25, n=2, m=2, case="positive"))
     (comp,) = rep.components
     assert comp.seq.p == 0.25
     assert comp.region.side == 1.0
@@ -121,14 +119,14 @@ def test_positive_measure_small_plane():
 
 def test_positive_measure_rejects_zero():
     with pytest.raises(InvalidParamsError):
-        build_positive_measure_witness(0.0, 1, 2)
+        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="positive"))
 
 
 # -- union construction ----------------------------------------------------------------
 
 
 def test_union_fractional_target():
-    rep = build_union_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2))
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="union"))
     assert rep.combined_dim == 0.5
     assert rep.combined_measure == 0.0
     labels = [c.label for c in rep.components]
@@ -139,7 +137,7 @@ def test_union_fractional_target():
 
 
 def test_union_positive_measure_target():
-    rep = build_union_witness(WitnessSpec(r=1.0, l=2.5, n=1, m=2))
+    rep = build_witness(WitnessSpec(r=1.0, l=2.5, n=1, m=2, case="union"))
     assert rep.combined_dim == 1.0  # positive measure forces full dimension
     assert rep.combined_measure == 2.5
     carrier = next(c for c in rep.components if c.label == "measure_carrier")
@@ -149,7 +147,7 @@ def test_union_positive_measure_target():
 
 
 def test_union_integer_target_truncates():
-    rep = build_union_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, terms=6))
+    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, terms=6, case="union"))
     assert rep.combined_dim == 2 - 2.0**-6
     assert rep.truncation_gap == 2.0**-6
     assert rep.combined_measure == 0.0
@@ -159,7 +157,7 @@ def test_union_integer_target_truncates():
 
 
 def test_union_square_with_measure():
-    rep = build_union_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2))
+    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union"))
     assert rep.combined_dim == 2.0
     assert rep.combined_measure == 2.5
     carrier = next(c for c in rep.components if c.label == "measure_carrier")
@@ -179,6 +177,17 @@ def test_spec_validation():
         WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="nope")
 
 
+@pytest.mark.parametrize("case", ["fractional", "integer", "fractional_dim_zero_measure"])
+def test_spec_rejects_measure_for_zero_measure_cases(case):
+    with pytest.raises(InvalidParamsError, match="l = 0"):
+        WitnessSpec(r=1.0, l=1.5, n=2, m=2, case=case)
+
+
+def test_spec_case_accepts_short_and_long_names():
+    assert WitnessSpec(r=0.5, l=0.0, n=1, m=2, case=" Fractional ").case == "fractional_dim_zero_measure"
+    assert WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="dim_measure_union").case == "dim_measure_union"
+
+
 def test_build_witness_dispatch():
     assert build_witness(WitnessSpec(r=0.5, l=0, n=1, m=2, case="fractional")).combined_dim == 0.5
     assert build_witness(WitnessSpec(r=1, l=0, n=1, m=2, case="integer", terms=2)).combined_dim == 0.75
@@ -192,10 +201,10 @@ def test_build_witness_dispatch():
 @pytest.mark.parametrize(
     "report,n,m",
     [
-        (build_fractional_dim_witness(0.5, 1, 2), 1, 2),
-        (build_integer_dim_witness(1, 1, 2, terms=4), 1, 2),
-        (build_positive_measure_witness(1.5, 1, 2), 1, 2),
-        (build_union_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2)), 2, 2),
+        (build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="fractional")), 1, 2),
+        (build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=4)), 1, 2),
+        (build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive")), 1, 2),
+        (build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union")), 2, 2),
     ],
 )
 def test_components_agree_with_dimension_reports(report, n, m):
@@ -206,7 +215,37 @@ def test_components_agree_with_dimension_reports(report, n, m):
 
 
 def test_combined_rules_exact():
-    rep = build_union_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union"))
+    assert rep.combined_dim == max(c.predicted_dim for c in rep.components)
+    assert rep.combined_measure == sum(c.predicted_measure for c in rep.components)
+
+
+@st.composite
+def witness_specs(draw):
+    case = draw(st.sampled_from(["fractional", "integer", "positive", "union"]))
+    n = draw(st.integers(1, 3))
+    if case == "integer":
+        r = float(draw(st.integers(1, n)))
+    else:
+        r = draw(st.one_of(st.integers(1, n).map(float), st.floats(0.01, float(n))))
+        assume(case != "fractional" or r != math.floor(r))
+    measures = st.floats(0.01, 20.0)
+    if case == "union":
+        measures = st.one_of(st.just(0.0), measures)
+    l = draw(measures) if case in ("positive", "union") else 0.0
+    return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)), case=case, terms=draw(st.integers(2, 20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(witness_specs())
+def test_ledger_meets_the_theorems_target(spec):
+    # dimension r if l = 0 and n otherwise, expected measure l; only the
+    # integer union's truncation leaves a (reported) gap
+    rep = build_witness(spec)
+    assert rep.target_dim == (spec.r if spec.l == 0 else spec.n)
+    assert rep.target_measure == spec.l
+    assert rep.combined_dim == rep.target_dim - rep.truncation_gap
+    assert rep.combined_measure == rep.target_measure
     assert rep.combined_dim == max(c.predicted_dim for c in rep.components)
     assert rep.combined_measure == sum(c.predicted_measure for c in rep.components)
 
@@ -219,19 +258,20 @@ def test_report_rejects_overlapping_regions():
     a = WitnessComponent(Box((0.0,), 1.0), seq, 0.5, 0.0, "a")
     b = WitnessComponent(Box((0.5,), 1.0), seq, 0.5, 0.0, "b")
     with pytest.raises(InternalInvariantError):
-        WitnessReport(1, 2, (a, b), 0.5, 0.0, 0.5, 0.0)
+        WitnessReport(1, 2, (a, b), 0.5, 0.0)
 
 
 def test_integer_union_slots_abut_despite_rounding():
     # the sixth slot's lo + side rounds past the seventh's lo at J = 9: no overlap
     assert 5 * (1 / 9) + 1 / 9 > 6 * (1 / 9)
     for terms in range(2, 41):
-        assert len(build_integer_dim_witness(1, 1, 2, terms=terms).components) == terms
+        spec = WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=terms)
+        assert len(build_witness(spec).components) == terms
 
 
 def test_monte_carlo_cross_check_positive_measure():
     # scaled estimate must reproduce l times the finite-depth deficit
-    rep = build_positive_measure_witness(1.5, 1, 2)
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive"))
     (comp,) = rep.components
     params = PercolationParams(1, 2, 12, comp.seq, seed=55)
     est = estimate_measure(params, 1000)
@@ -245,7 +285,7 @@ def test_monte_carlo_cross_check_positive_measure():
 
 
 def test_ledger_mentions_rules_and_components():
-    text = format_witness_ledger(build_union_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2)))
+    text = format_witness_ledger(build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union")))
     assert "max over components" in text
     assert "sum over disjoint regions" in text
     assert "measure_carrier" in text
