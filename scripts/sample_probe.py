@@ -1,8 +1,8 @@
 """Print one repr line per case of the sampling layer.
 
-The grid is fixed: seven geometries (n, m, K), two of them with levels past
-64-bit packed keys, six sequences (one a tail-less prefix shorter than some
-depths), two cell budgets, the smallest and largest seed, and three
+The grid is fixed: seven geometries (n, m, K), two of them with level keys
+near the 64-bit limit, six sequences (one a tail-less prefix shorter than
+some depths), two cell budgets, the smallest and largest seed, and three
 streams.  Each line gives ``generate``'s level counts with a sha256 of its
 level bytes, and ``sample_counts``' result.  An error prints as
 ``(error type, level, count, message)``, with level and count None unless
@@ -17,7 +17,7 @@ import hashlib
 
 from perclab import PercolationParams, ProbSequence, generate, sample_counts
 
-GEOMETRIES = ((1, 2, 20), (2, 2, 10), (2, 3, 7), (3, 3, 5), (3, 2, 7), (2, 10, 10), (3, 4, 12))
+GEOMETRIES = ((1, 2, 20), (2, 2, 10), (2, 3, 7), (3, 3, 5), (3, 2, 7), (2, 10, 9), (3, 4, 10))
 SEQUENCES = (
     ("mfp(0.9)", ProbSequence.mfp(0.9)),
     ("mfp(0.5)", ProbSequence.mfp(0.5)),

@@ -13,6 +13,7 @@ readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import struct
@@ -33,7 +34,7 @@ from .engine import (
     realization_to_dict,
     render_raster,
 )
-from .errors import BudgetExceededError, PercLabError
+from .errors import BudgetExceededError, InvalidParamsError, PercLabError
 from .estimators import (
     CSV_COLUMNS,
     csv_row,
@@ -393,8 +394,13 @@ def cmd_render(cfg: dict) -> str:
         raise ConfigError("render writes binary PGM; --out is required")
     _pick_format(cfg, ("pgm",), "pgm")
     level = params.depth if cfg["level"] is None else cfg["level"]
-    # the realization is dropped once its level is rasterized
-    data = pgm_bytes(render_raster(generate(params, stream=cfg["stream"]), level))
+    if not 0 <= level <= params.depth:
+        raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
+    # deeper levels draw later in the stream, so generating only to this one
+    # gives the same bytes at any depth; the realization is dropped once its
+    # level is rasterized
+    shallow = dataclasses.replace(params, depth=max(level, 1))
+    data = pgm_bytes(render_raster(generate(shallow, stream=cfg["stream"]), level))
     _atomic_write(cfg["out"], data)
     side = params.m**level
     # provenance for the binary output goes to stdout instead of the file

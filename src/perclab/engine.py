@@ -3,9 +3,8 @@
 One realization subdivides the unit n-cube into m^n children per cell,
 retaining each child of a surviving parent independently with probability
 p_k at round k, down to a finite depth K.  Only surviving cells are stored,
-each level as its sorted row-major uint64 keys (8 bytes per cell) while
-they fit 64 bits, and as per-axis base-m coordinate rows past that, so
-memory tracks the live population.
+each level as its sorted row-major uint64 keys (8 bytes per cell), so
+memory tracks the live population and a realization needs m^(nK) <= 2^64.
 
 Randomness is a Philox-4x64 counter-based stream keyed by (seed, stream);
 variates are consumed in a fixed order (parents in sorted order, children in
@@ -118,36 +117,29 @@ class Realization:
     cells nest: every level-k cell's parent (coordinates // m) survives at
     level k-1.  Arrays are read-only; instances are safe to share.
 
-    A level whose row-major keys sum_a X_a * (m^k)^(n-1-a) fit 64 bits
-    (m^(nk) <= 2^64) is held as its sorted uint64 keys, 8 bytes per cell;
-    a wider level is held as its coordinate rows.  ``levels`` is decoded
-    from the keys on first read and cached; ``counts``, ``measure_at`` and
-    ``survives`` read only each level's length.  The constructor takes
-    coordinate rows, as a handmade table or :func:`realization_from_dict`
-    gives them, and packs the levels that fit.
+    Each level is held as its sorted row-major keys
+    sum_a X_a * (m^k)^(n-1-a), 8 bytes per cell, so m^(nK) <= 2^64.
+    ``levels`` is decoded from the keys on first read and cached;
+    ``counts``, ``measure_at`` and ``survives`` read only each level's
+    length.  The constructor checks coordinate rows, as a handmade table or
+    :func:`realization_from_dict` gives them, and packs them.
     """
 
     __slots__ = ("params", "stream", "_cells", "_levels")
 
     def __init__(self, params: PercolationParams, levels, stream: int = 0):
-        # copied, so freezing them leaves the caller's arrays as they were
-        rows = tuple(_frozen(np.array(a, dtype=np.uint64)) for a in levels)
-        if len(rows) != params.depth + 1:
-            raise InvalidParamsError(f"expected {params.depth + 1} levels, got {len(rows)}")
-        cells = []
-        for k, a in enumerate(rows):
-            if _holds_keys(params, k):
-                side = params.m**k
-                if a.size and int(a.max()) >= side:
-                    raise InvalidParamsError(f"coordinate out of range at level {k}")
-                a = _pack(a, np.uint64(side))
-            cells.append(a)
+        _check_key_width(params)
+        levels = list(levels)
+        if len(levels) != params.depth + 1:
+            raise InvalidParamsError(f"expected {params.depth + 1} levels, got {len(levels)}")
+        cells: list[np.ndarray] = []
+        for k, rows in enumerate(levels):
+            cells.append(_level_keys(params, k, rows, cells[-1] if k else None))
         self._init(params, cells, stream)
-        self._levels = rows
 
     @classmethod
     def _of_cells(cls, params: PercolationParams, cells, stream: int) -> "Realization":
-        """A realization from each level's keys, or rows where they do not fit."""
+        """A realization from each level's sorted keys, taken as they are."""
         self = cls.__new__(cls)
         self._init(params, cells, stream)
         return self
@@ -163,8 +155,7 @@ class Realization:
         if self._levels is None:
             m, n = self.params.m, self.params.n
             self._levels = tuple(
-                _frozen(_unpack(a, np.uint64(m**k), n)) if a.ndim == 1 else a
-                for k, a in enumerate(self._cells)
+                _frozen(_unpack(a, np.uint64(m**k), n)) for k, a in enumerate(self._cells)
             )
         return self._levels
 
@@ -191,9 +182,45 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _holds_keys(params: PercolationParams, k: int) -> bool:
-    # a level-k key is below (m^k)^n
-    return (params.m**k) ** params.n <= _KEY_LIMIT
+def _check_key_width(params: PercolationParams) -> None:
+    # the deepest level's keys are below (m^K)^n
+    if params.m ** (params.n * params.depth) > _KEY_LIMIT:
+        raise InvalidParamsError(
+            f"m^(n*depth) = {params.m}^{params.n * params.depth} exceeds 2^64, "
+            "past the uint64 keys that hold each level"
+        )
+
+
+def _level_keys(params: PercolationParams, k: int, rows, above) -> np.ndarray:
+    """Sorted keys of one level's coordinate rows, checked against the level above.
+
+    The rows must be an (X_k, n) table of integers in [0, m^k) (integral
+    floats count), strictly sorted, each with its parent in ``above``, the
+    keys of level k-1.  An empty level may have any empty shape.
+    """
+    n, m = params.n, params.m
+    try:
+        a = np.asarray(rows)
+    except ValueError:
+        raise InvalidParamsError(f"level {k} rows are ragged") from None
+    if a.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    if a.shape != a.shape[:1] + (n,):
+        raise InvalidParamsError(f"level {k} rows must hold {n} coordinates each")
+    if a.dtype.kind not in "iuf" or (a.dtype.kind == "f" and not np.all(a == np.floor(a))):
+        raise InvalidParamsError(f"level {k} coordinates must be integers")
+    if a.min() < 0 or a.max() >= m**k:
+        raise InvalidParamsError(f"coordinate out of range at level {k}")
+    a = a.astype(np.uint64)
+    key = _pack(a, np.uint64(m**k))
+    if not np.all(key[1:] > key[:-1]):
+        raise InvalidParamsError(f"level {k} addresses not strictly sorted")
+    if k:
+        parent = _pack(a // np.uint64(m), np.uint64(m ** (k - 1)))
+        found = above.take(np.searchsorted(above, parent), mode="clip") if above.size else above
+        if not np.array_equal(found, parent):
+            raise InvalidParamsError(f"nesting violated at level {k}")
+    return key
 
 
 def _digit_block(m: int, n: int) -> np.ndarray:
@@ -254,14 +281,6 @@ def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
     return out
 
 
-def _next_level_lexsort(parents, block, m, keep) -> np.ndarray:
-    n = block.shape[1]
-    children = (parents[:, None, :] * np.uint64(m) + block[None, :, :]).reshape(-1, n)
-    kept = children[keep]
-    del children
-    return kept[np.lexsort(tuple(kept[:, axis] for axis in range(n - 1, -1, -1)))]
-
-
 def _draw_levels(params: PercolationParams, stream: int, probs: tuple[float, ...]):
     """Yield (keep mask, kept count) for levels 1, 2, ... of one realization.
 
@@ -302,26 +321,18 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     Each level is ordered through one row-major uint64 key per cell,
     sum_a X_a * (m^k)^(n-1-a): children are expanded as keys in chunks,
     selected into one array and sorted in place with ``ndarray.sort``; the
-    level is kept as those keys.  A level whose keys would pass 64 bits
-    (m^(nk) > 2^64) expands coordinate rows and orders them with
-    ``np.lexsort`` instead.  Both give the same sorted level.
+    level is kept as those keys.  Params with m^(nK) > 2^64, whose deepest
+    keys would pass 64 bits, raise InvalidParamsError before any draw.
     """
+    _check_key_width(params)
     m, n = params.m, params.n
     cells: list[np.ndarray] = [np.zeros(1, dtype=np.uint64)]
     for k, (keep, kept) in enumerate(_draw_levels(params, stream, level_probs(params)), 1):
         if k == 1:
             # only now that m^n candidates passed the budget: m^n may be ~2^63
             block = _digit_block(m, n)
-        side = m**k
-        parents = cells[-1]
-        if _holds_keys(params, k):
-            cells.append(_next_level_packed(parents, block, m, side, keep, kept))
-        else:
-            if parents.ndim == 1:  # the first wide level decodes its packed parents
-                parents = _unpack(parents, np.uint64(side // m), n)
-            cells.append(_next_level_lexsort(parents, block, m, keep))
-    for k in range(len(cells), params.depth + 1):
-        cells.append(np.zeros(0 if _holds_keys(params, k) else (0, n), dtype=np.uint64))
+        cells.append(_next_level_packed(cells[-1], block, m, m**k, keep, kept))
+    cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
     return Realization._of_cells(params, cells, stream)
 
 
@@ -377,9 +388,8 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
     side = params.m**k
     if side > MAX_RASTER_SIDE:
         raise RasterTooLargeError(f"raster side m^k = {side} exceeds {MAX_RASTER_SIDE}")
-    # every level this small is held as keys; the key x * side + y is the flat
-    # index of cell (x, y) in the transposed grid, and sorted keys scatter
-    # in order.  Keys stay below 2^24, so their int64 view is exact.
+    # the key x * side + y is the flat index of cell (x, y) in the transposed
+    # grid; keys stay below 2^24, so their int64 view is exact
     flat = np.zeros(side * side, dtype=np.uint8)
     flat[realization._cells[k].view(np.intp)] = 1
     return flat.reshape(side, side).T[::-1]
@@ -390,7 +400,7 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
 
     Header is exactly ``P5\\n<w> <h>\\n255\\n`` so outputs are byte-stable.
     """
-    if grid.ndim != 2:
+    if len(grid.shape) != 2:
         raise InvalidParamsError("grid must be 2-D")
     h, w = grid.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
@@ -418,21 +428,4 @@ def realization_to_dict(r: Realization) -> dict:
 
 
 def realization_from_dict(d: dict) -> Realization:
-    params = PercolationParams.from_dict(d)
-    levels = []
-    prev: set[tuple[int, ...]] | None = None
-    for k, rows in enumerate(d["levels"]):
-        arr = np.array(rows, dtype=np.uint64).reshape(len(rows), params.n)
-        limit = params.m**k
-        if arr.size and int(arr.max()) >= limit:
-            raise InvalidParamsError(f"coordinate out of range at level {k}")
-        tuples = [tuple(map(int, row)) for row in arr.tolist()]
-        if any(tuples[i] >= tuples[i + 1] for i in range(len(tuples) - 1)):
-            raise InvalidParamsError(f"level {k} addresses not strictly sorted")
-        if prev is not None:
-            for t in tuples:
-                if tuple(x // params.m for x in t) not in prev:
-                    raise InvalidParamsError(f"nesting violated at level {k}")
-        prev = set(tuples)
-        levels.append(arr)
-    return Realization(params, levels, stream=int(d.get("stream", 0)))
+    return Realization(PercolationParams.from_dict(d), d["levels"], stream=int(d.get("stream", 0)))

@@ -136,6 +136,45 @@ def test_render_requires_out(capsys):
     assert json.loads(err.splitlines()[0])["exit_code"] == 2
 
 
+def test_render_generates_only_to_its_level(tmp_path, capsys):
+    # deeper levels draw later in the stream, so the depth changes no byte,
+    # even past the depth generate takes (m^(n K) = 2^80 > 2^64)
+    base = ("render", "--family", "mfp", "--p", "0.9", "--n", "2", "--m", "2", "--seed", "7")
+    pgms = []
+    for depth in ("4", "40"):
+        out_path = tmp_path / f"d{depth}.pgm"
+        rc, _, _ = run(capsys, *base, "--depth", depth, "--level", "4", "--out", str(out_path))
+        assert rc == 0
+        pgms.append(out_path.read_bytes())
+    assert pgms[0] == pgms[1]
+    assert pgms[0].startswith(b"P5\n16 16\n255\n")
+    rc, _, _ = run(capsys, *base, "--depth", "40", "--out", str(tmp_path / "g.pgm"))
+    assert rc == 3
+    rc, _, err = run(capsys, *base, "--depth", "4", "--level", "5", "--out", str(tmp_path / "h.pgm"))
+    assert rc == 3
+    assert "level 5 outside [0, 4]" in err
+
+
+def test_render_level_zero_is_one_pixel(tmp_path, capsys):
+    out_path = tmp_path / "l0.pgm"
+    rc, _, _ = run(
+        capsys, "render", "--family", "mfp", "--p", "0.9", "--n", "2", "--m", "2",
+        "--depth", "40", "--level", "0", "--out", str(out_path),
+    )
+    assert rc == 0
+    assert out_path.read_bytes() == b"P5\n1 1\n255\n\xff"
+
+
+def test_generate_past_64_bit_keys_exits_3_and_estimators_keep_the_depth(capsys):
+    wide = ("--family", "mfp", "--p", "0.3", "--n", "2", "--m", "2", "--depth", "40")
+    rc, _, err = run(capsys, "generate", *wide)
+    assert rc == 3
+    assert "exceeds 2^64" in err
+    rc, out, _ = run(capsys, "measure", *wide, "--reps", "100")
+    assert rc == 0
+    assert json.loads(out)["result"]["replicates"] == 100
+
+
 # -- estimators --------------------------------------------------------------------------
 
 

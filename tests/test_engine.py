@@ -76,7 +76,7 @@ def test_measure_at_examples():
     handmade = Realization(
         _params(n=1, m=2, depth=3),
         [np.zeros((1, 1)), np.array([[0], [1]]), np.array([[0], [1], [2]]),
-         np.array([[0], [1], [2], [4], [7]])],
+         np.array([[0], [1], [2], [4], [5]])],
     )
     assert handmade.measure_at(3) == 5 / 8
     with pytest.raises(InvalidParamsError):
@@ -279,16 +279,26 @@ def _assert_sorted_and_nested(r):
         assert all(tuple(x // m for x in c) in parents for c in cells), f"level {k} not nested"
 
 
+def key_width_shapes():
+    """(n, m, depth) with depth <= 12 and m^(n depth) <= 2^64, the shapes generate takes."""
+
+    def with_depth(nm):
+        n, m = nm
+        deepest = max(d for d in range(1, 13) if m ** (n * d) <= 2**64)
+        return st.tuples(st.just(n), st.just(m), st.integers(1, deepest))
+
+    return st.tuples(st.integers(2, 3), st.sampled_from([2, 3, 4, 10])).flatmap(with_depth)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    n=st.integers(2, 3),
-    m=st.sampled_from([2, 3, 4, 10]),
-    depth=st.integers(1, 12),
+    shape=key_width_shapes(),
     seed=st.integers(0, 2**64 - 1),
     stream=st.integers(0, 2**64 - 1),
     p=st.floats(0.01, 0.99),
 )
-def test_generate_matches_reference_ordering(n, m, depth, seed, stream, p):
+def test_generate_matches_reference_ordering(shape, seed, stream, p):
+    n, m, depth = shape
     params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=seed, cell_budget=1 << 14)
     try:
         want = _reference_generate(params, stream)
@@ -300,24 +310,40 @@ def test_generate_matches_reference_ordering(n, m, depth, seed, stream, p):
     _assert_levels_equal(generate(params, stream).levels, want)
 
 
-@pytest.mark.parametrize(
-    "n, m, depth, p, first_wide",
-    [(2, 10, 10, 0.02, 10), (3, 4, 12, 0.02, 11)],
-)
-def test_levels_past_64_bit_keys_match_reference(n, m, depth, p, first_wide):
-    # m^(n k) > 2^64 from level first_wide on: no packed key fits there
-    assert m ** (n * first_wide) > 2**64 >= m ** (n * (first_wide - 1))
-    params = PercolationParams(n, m, depth, ProbSequence.mfp(p), seed=0)
+def test_generate_at_the_64_bit_key_limit():
+    # m^(n K) = 2^64 exactly: the deepest keys use all 64 bits
+    params = PercolationParams(2, 2, 32, ProbSequence.mfp(0.3), seed=0)
     r = generate(params)
-    assert r.counts[first_wide] > 1  # the wide levels are alive and ordered
-    _assert_levels_equal(r.levels, _reference_generate(params))
+    assert r.counts[32] == 644
+    assert int(r._cells[32].max()) >= 2**63
+    want = _reference_generate(params)
+    _assert_levels_equal(r.levels, want)
     _assert_sorted_and_nested(r)
+    _assert_levels_equal(Realization(params, want).levels, want)
+
+
+@pytest.mark.parametrize("n, m, depth", [(2, 10, 10), (3, 4, 12), (2, 2, 33)])
+def test_generate_rejects_keys_past_64_bits(monkeypatch, n, m, depth):
+    # m^(n K) > 2^64: the deepest keys would not fit, so nothing is drawn;
+    # the counts-only sampler takes the same params
+    params = PercolationParams(n, m, depth, ProbSequence.mfp(0.02), seed=0)
+    assert m ** (n * depth) > 2**64
+    assert len(sample_counts(params)) == depth + 1
+
+    def no_stream(seed, stream):
+        raise AssertionError("stream drawn from before the key-width check")
+
+    monkeypatch.setattr(engine, "stream_generator", no_stream)
+    with pytest.raises(InvalidParamsError, match="exceeds 2\\^64"):
+        generate(params)
+    with pytest.raises(InvalidParamsError, match="exceeds 2\\^64"):
+        Realization(params, [np.zeros((1, n))] + [[]] * depth)
 
 
 # -- chunked expansion and the packed level store -----------------------------------
 
 
-CHUNK_CASES = [(1, 2, 12, 0.8, 1), (2, 2, 6, 0.8, 2), (3, 2, 4, 0.8, 3), (2, 10, 10, 0.02, 0)]
+CHUNK_CASES = [(1, 2, 12, 0.8, 1), (2, 2, 6, 0.8, 2), (3, 2, 4, 0.8, 3), (2, 10, 9, 0.02, 0)]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -373,6 +399,43 @@ def test_constructor_leaves_the_callers_rows_writable():
     assert all(a.flags.writeable for a in rows)
     rows[1][0, 1] = 0  # the realization holds its own copy
     assert r.levels[1].tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ([0, 0, 0], "2 coordinates each"),
+        ([0], "2 coordinates each"),
+        ([0, -1], "out of range"),
+        ([0.5, 0], "must be integers"),
+        (["1", 0], "must be integers"),
+    ],
+    ids=["three-coordinates", "one-coordinate", "negative", "fraction", "string"],
+)
+def test_malformed_rows_rejected_by_both_entry_points(row, match):
+    params = _params(n=2, m=2, depth=1)
+    with pytest.raises(InvalidParamsError, match=match):
+        Realization(params, [[[0, 0]], [row]])
+    d = realization_to_dict(generate(params))
+    d["levels"][1] = [row]
+    with pytest.raises(InvalidParamsError, match=match):
+        realization_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        ([[[0]], [[1], [0]]], "level 1 addresses not strictly sorted"),
+        ([[[0]], [[1], [1]]], "level 1 addresses not strictly sorted"),
+        ([[[0]], [[1]], [[0]]], "nesting violated at level 2"),  # parent 0 is absent
+        ([[[0]], [[0]], [[0], [1], [2]]], "nesting violated at level 2"),  # parent 1 past the end
+        ([[[0]], [], [[2]]], "nesting violated at level 2"),  # under an empty level
+    ],
+    ids=["unsorted", "duplicated", "parent-absent", "parent-past-the-end", "empty-parent-level"],
+)
+def test_handmade_tables_must_be_sorted_and_nested(levels, match):
+    with pytest.raises(InvalidParamsError, match=match):
+        Realization(_params(n=1, m=2, depth=len(levels) - 1), levels)
 
 
 def test_rows_past_the_level_side_rejected():
@@ -519,10 +582,10 @@ def test_realization_round_trip():
 def test_from_dict_rejects_unsorted_levels():
     r = generate(_params(n=1, m=2, depth=2, seq=ProbSequence.mfp(0.9), seed=1))
     d = realization_to_dict(r)
-    if len(d["levels"][2]) >= 2:
-        d["levels"][2] = d["levels"][2][::-1]
-        with pytest.raises(InvalidParamsError):
-            realization_from_dict(d)
+    assert len(d["levels"][2]) >= 2
+    d["levels"][2] = d["levels"][2][::-1]
+    with pytest.raises(InvalidParamsError):
+        realization_from_dict(d)
 
 
 def test_from_dict_rejects_broken_nesting():
