@@ -31,12 +31,14 @@ from .engine import (
     derive_seed,
     generate,
     pgm_bytes,
+    raster_side,
     realization_to_dict,
     render_raster,
 )
 from .errors import BudgetExceededError, InvalidParamsError, PercLabError
 from .estimators import (
     CSV_COLUMNS,
+    _z_score,
     csv_row,
     estimate_boxdim,
     estimate_measure,
@@ -156,7 +158,7 @@ _OPTIONS = {
     "stream": _Option("--stream", _integer, 0, "replicate stream index"),
     "level": _Option("--level", _integer, None, "level to rasterize (default: depth)"),
     "replicates": _Option("--reps", _integer, 1000, "replicate count"),
-    "threads": _Option("--threads", _threads, 1, "worker threads"),
+    "threads": _Option("--threads", _threads, 1, "no effect: replicates run inline in stream order"),
     "window": _Option("--window", _pair, DEFAULT_WINDOW, "k_lo:k_hi evaluation window"),
     "method": _Option("--method", _text, "auto", "dimension method", ("auto", "analytic", "windowed")),
     "fit": _Option("--fit", _pair, None, "k_min:k_max fit levels (boxdim)"),
@@ -396,13 +398,13 @@ def cmd_render(cfg: dict) -> str:
     level = params.depth if cfg["level"] is None else cfg["level"]
     if not 0 <= level <= params.depth:
         raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
+    side = raster_side(params.n, params.m, level)  # before any cell is sampled
     # deeper levels draw later in the stream, so generating only to this one
     # gives the same bytes at any depth; the realization is dropped once its
     # level is rasterized
     shallow = dataclasses.replace(params, depth=max(level, 1))
     data = pgm_bytes(render_raster(generate(shallow, stream=cfg["stream"]), level))
     _atomic_write(cfg["out"], data)
-    side = params.m**level
     # provenance for the binary output goes to stdout instead of the file
     sys.stdout.write(json.dumps(_doc(cfg, {"out": cfg["out"], "width": side, "height": side}),
                                 sort_keys=True) + "\n")
@@ -410,14 +412,12 @@ def cmd_render(cfg: dict) -> str:
 
 
 def _run_estimator(cfg: dict, quantity: str, params: PercolationParams):
-    reps, threads = cfg["replicates"], cfg["threads"]
+    reps = cfg["replicates"]
     if quantity == "survival":
-        return estimate_survival(params, reps, threads=threads)
+        return estimate_survival(params, reps)
     if quantity == "measure":
-        return estimate_measure(params, reps, threads=threads)
-    return estimate_boxdim(
-        params, reps, fit_levels=cfg["fit"], max_attempts=cfg["max_attempts"], threads=threads
-    )
+        return estimate_measure(params, reps)
+    return estimate_boxdim(params, reps, fit_levels=cfg["fit"], max_attempts=cfg["max_attempts"])
 
 
 def _estimator_row(cfg: dict, quantity: str, params: PercolationParams, rep) -> list[str]:
@@ -426,10 +426,9 @@ def _estimator_row(cfg: dict, quantity: str, params: PercolationParams, rep) -> 
         theory = None
         if params.seq.limit is not None:
             theory = full_report(params.seq, params.n, params.m).hausdorff
-        z = (rep.slope - theory) / rep.slope_std_error if (theory is not None and rep.slope_std_error > 0) else None
         return csv_row(
             "box_dimension", params, family, fparams, rep.replicates_used,
-            rep.slope, rep.slope_std_error, theory, z,
+            rep.slope, rep.slope_std_error, theory, _z_score(rep.slope, theory, rep.slope_std_error),
         )
     return csv_row(
         rep.quantity, params, family, fparams, rep.replicates,

@@ -373,6 +373,21 @@ def sample_counts(
 # raster output (n = 2)
 
 
+def raster_side(n: int, m: int, k: int) -> int:
+    """Side m^k of the level-k raster of an (n, m) realization.
+
+    Raises unless that raster can be drawn: it needs n = 2 and a side of at
+    most ``MAX_RASTER_SIDE``.  Both depend on the shape alone, so a caller
+    can check before sampling anything.
+    """
+    if n != 2:
+        raise UnsupportedDimensionError(f"raster output needs n = 2, got n = {n}")
+    side = m**k
+    if side > MAX_RASTER_SIDE:
+        raise RasterTooLargeError(f"raster side m^k = {side} exceeds {MAX_RASTER_SIDE}")
+    return side
+
+
 def render_raster(realization: Realization, k: int) -> np.ndarray:
     """Binary occupancy grid of level k for a planar realization.
 
@@ -381,13 +396,9 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
     flipped, transposed view, not a C-ordered array.
     """
     params = realization.params
-    if params.n != 2:
-        raise UnsupportedDimensionError(f"raster output needs n = 2, got n = {params.n}")
     if not 0 <= k <= params.depth:
         raise InvalidParamsError(f"level {k} outside [0, {params.depth}]")
-    side = params.m**k
-    if side > MAX_RASTER_SIDE:
-        raise RasterTooLargeError(f"raster side m^k = {side} exceeds {MAX_RASTER_SIDE}")
+    side = raster_side(params.n, params.m, k)
     # the key x * side + y is the flat index of cell (x, y) in the transposed
     # grid; keys stay below 2^24, so their int64 view is exact
     flat = np.zeros(side * side, dtype=np.uint8)

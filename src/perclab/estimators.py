@@ -1,19 +1,17 @@
 """Monte Carlo estimators: expected volume, survival frequency, box dimension.
 
 Every estimate reads only the level counts X_0..X_K of its replicates.
-Replicate r is ``sample_counts(params, r)``: the counts of the realization
-``generate`` would build on the Philox stream keyed (seed, r), drawn on the
-same stream contract but without building coordinates.  Every reduction is
-an order-fixed fold over replicate indices, so results are deterministic for
-a fixed (seed, params, replicates) regardless of how many worker threads
-execute the replicates.
+Replicate i is ``sample_counts(params, i)``: the counts of the realization
+``generate`` would build on the Philox stream keyed (seed, i), drawn on the
+same stream contract but without building coordinates.  ``_replicates`` is
+the one place that maps replicates to streams: all three estimators draw
+them inline, in stream order, and fold them in that order, so results are
+deterministic for a fixed (seed, params, replicates).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .dimensions import expected_measure
@@ -111,21 +109,18 @@ def branching_extinction_prob(
     return q
 
 
-def _executor(threads: int):
-    """A pool of ``threads`` workers, or a context yielding None to run inline."""
-    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+def _replicates(params: PercolationParams, count: int):
+    """Level counts of replicates 0..count-1, drawn lazily in stream order."""
+    probs = level_probs(params)
+    for i in range(count):
+        yield sample_counts(params, i, probs)
 
 
-def _map_streams(fn, streams, pool) -> list:
-    """fn(stream) for each stream, results in stream order."""
-    if pool is None:
-        return [fn(s) for s in streams]
-    return list(pool.map(fn, streams))
+def _z_score(estimate: float, theory: float | None, se: float) -> float | None:
+    return (estimate - theory) / se if (theory is not None and se > 0.0) else None
 
 
-def estimate_measure(
-    params: PercolationParams, replicates: int, threads: int = 1
-) -> EstimateReport:
+def estimate_measure(params: PercolationParams, replicates: int) -> EstimateReport:
     """Mean and standard error of the depth-K measure over replicates.
 
     Counts are accumulated as exact integers in replicate order and divided
@@ -134,14 +129,10 @@ def estimate_measure(
     if replicates < MIN_REPLICATES:
         raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
     K = params.depth
-    probs = level_probs(params)
-    with _executor(threads) as pool:
-        done = _map_streams(
-            lambda i: sample_counts(params, i, probs)[K], range(replicates), pool
-        )
     s = 0
     s2 = 0
-    for x in done:
+    for counts in _replicates(params, replicates):
+        x = counts[K]
         s += x
         s2 += x * x
     scale = float(params.m) ** (-params.n * K)
@@ -149,7 +140,6 @@ def estimate_measure(
     var_counts = float(replicates * s2 - s * s) / (replicates * (replicates - 1))
     se = math.sqrt(max(var_counts, 0.0) / replicates) * scale
     theory = math.exp(params.seq.log_prefix_product(K))
-    z = (est - theory) / se if se > 0.0 else None
     return EstimateReport(
         quantity=QUANTITY_MEASURE,
         estimate=est,
@@ -157,14 +147,12 @@ def estimate_measure(
         replicates=replicates,
         depth=K,
         theory=theory,
-        z_score=z,
+        z_score=_z_score(est, theory, se),
         theory_limit=None if params.seq.limit is None else expected_measure(params.seq, params.n, params.m),
     )
 
 
-def estimate_survival(
-    params: PercolationParams, replicates: int, threads: int = 1
-) -> EstimateReport:
+def estimate_survival(params: PercolationParams, replicates: int) -> EstimateReport:
     """Fraction of replicates with any cell alive at depth K.
 
     The theory value is the infinite-depth branching survival probability
@@ -174,20 +162,12 @@ def estimate_survival(
     if replicates < MIN_REPLICATES:
         raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
     K = params.depth
-    probs = level_probs(params)
-    with _executor(threads) as pool:
-        flags = _map_streams(
-            lambda i: sample_counts(params, i, probs)[K] > 0, range(replicates), pool
-        )
-    hits = 0
-    for f in flags:
-        hits += 1 if f else 0
+    hits = sum(1 for counts in _replicates(params, replicates) if counts[K] > 0)
     est = hits / replicates
     se = math.sqrt(est * (1.0 - est) / replicates)
     theory = None
     if params.seq.kind == KIND_MFP:
         theory = 1.0 - branching_extinction_prob(params.seq.p, params.m**params.n)
-    z = (est - theory) / se if (theory is not None and se > 0.0) else None
     return EstimateReport(
         quantity=QUANTITY_SURVIVAL,
         estimate=est,
@@ -195,7 +175,7 @@ def estimate_survival(
         replicates=replicates,
         depth=K,
         theory=theory,
-        z_score=z,
+        z_score=_z_score(est, theory, se),
     )
 
 
@@ -229,6 +209,10 @@ def estimate_boxdim(
     streams until ``replicates`` of them survive to depth K, within a total
     budget of max_attempts * replicates draws.  Levels below fit_levels[0]
     (default 3) are discarded to reduce transient bias.
+
+    ``threads`` has no effect.  It stays in the signature only because
+    perfbench's boxdim observer reads it from the bound arguments; ROADMAP
+    item 7's benchmark change removes both.
     """
     if replicates < 1:
         raise InvalidParamsError("need at least 1 surviving replicate")
@@ -245,25 +229,13 @@ def estimate_boxdim(
     ln_m = math.log(params.m)
     xs = [k * ln_m for k in range(lo, hi + 1)]
 
-    probs = level_probs(params)
     surviving: list[list[int]] = []
-    attempts = 0
-    next_stream = 0
-    with _executor(threads) as pool:
-        while len(surviving) < replicates and next_stream < budget:
-            chunk = min(max(threads, 1), budget - next_stream)
-            results = _map_streams(
-                lambda i: sample_counts(params, i, probs),
-                range(next_stream, next_stream + chunk),
-                pool,
-            )
-            for counts in results:
-                attempts += 1
-                if counts[K] > 0:
-                    surviving.append(counts)
-                    if len(surviving) == replicates:
-                        break
-            next_stream += chunk
+    # budget >= 1, so the loop binds attempts: the streams drawn, in order
+    for attempts, counts in enumerate(_replicates(params, budget), 1):
+        if counts[K] > 0:
+            surviving.append(counts)
+            if len(surviving) == replicates:
+                break
     if not surviving:
         raise AllExtinctError(
             f"no replicate survived to depth {K} within {budget} attempts"

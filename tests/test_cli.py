@@ -165,6 +165,26 @@ def test_render_level_zero_is_one_pixel(tmp_path, capsys):
     assert out_path.read_bytes() == b"P5\n1 1\n255\n\xff"
 
 
+@pytest.mark.parametrize(
+    "shape, error",
+    [(("--n", "2", "--depth", "13"), "RasterTooLargeError"),
+     (("--n", "3", "--depth", "4"), "UnsupportedDimensionError")],
+    ids=["side-8192", "n-3"],
+)
+def test_render_rejects_the_raster_before_sampling(tmp_path, capsys, monkeypatch, shape, error):
+    # the raster rule reads only n, m and the level, so a raster that cannot
+    # be drawn fails before any cell is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("render sampled a realization it cannot draw")
+
+    monkeypatch.setattr("perclab.cli.generate", refuse)
+    rc, out, err = run(capsys, "render", "--family", "mfp", "--p", "0.95", "--m", "2", *shape,
+                       "--seed", "1", "--out", str(tmp_path / "x.pgm"))
+    assert rc == 3 and out == ""
+    assert json.loads(err.splitlines()[0])["error"] == error
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_generate_past_64_bit_keys_exits_3_and_estimators_keep_the_depth(capsys):
     wide = ("--family", "mfp", "--p", "0.3", "--n", "2", "--m", "2", "--depth", "40")
     rc, _, err = run(capsys, "generate", *wide)
@@ -216,6 +236,29 @@ def test_boxdim_json(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert abs(doc["result"]["slope"] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("measure", ("--n", "1", "--p", "0.8", "--depth", "8", "--seed", "33", "--reps", "300")),
+        ("survival", ("--n", "1", "--p", "0.6", "--depth", "8", "--seed", "33", "--reps", "300")),
+        ("boxdim", ("--n", "2", "--p", "0.85", "--depth", "8", "--seed", "3", "--reps", "4",
+                    "--fit", "3:8")),
+    ],
+    ids=["measure", "survival", "boxdim"],
+)
+def test_threads_leave_the_result_unchanged(capsys, command, args):
+    # --threads is validated and echoed, but replicates run inline in stream
+    # order whatever its value
+    results = []
+    for threads in ("1", "3"):
+        rc, out, _ = run(capsys, command, "--family", "mfp", "--m", "2", *args, "--threads", threads)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["config"]["threads"] == int(threads)
+        results.append(json.dumps(doc["result"], sort_keys=True))
+    assert results[0] == results[1]
 
 
 # -- witness -----------------------------------------------------------------------------

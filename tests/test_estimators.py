@@ -15,6 +15,7 @@ from perclab import (
     estimate_measure,
     estimate_survival,
     generate,
+    sample_counts,
 )
 from perclab.estimators import CSV_COLUMNS, csv_row, format_float
 
@@ -72,14 +73,6 @@ def test_measure_mfp_product_theory():
 def test_measure_replicate_floor():
     with pytest.raises(InvalidParamsError):
         estimate_measure(PercolationParams(1, 2, 3, FULL), 99)
-
-
-def test_measure_deterministic_and_thread_invariant():
-    params = PercolationParams(1, 2, 8, ProbSequence.mfp(0.8), seed=33)
-    a = estimate_measure(params, 300)
-    b = estimate_measure(params, 300)
-    c = estimate_measure(params, 300, threads=3)
-    assert a == b == c
 
 
 def test_budget_error_propagates_level_and_count():
@@ -182,11 +175,31 @@ def test_boxdim_validation():
         estimate_boxdim(params, 0)
 
 
-def test_boxdim_thread_invariant():
-    params = PercolationParams(2, 2, 8, ProbSequence.mfp(0.85), seed=3)
-    a = estimate_boxdim(params, 4, fit_levels=(3, 8))
-    b = estimate_boxdim(params, 4, fit_levels=(3, 8), threads=4)
-    assert a == b
+# -- the replicate-to-stream contract -----------------------------------------------
+
+
+def test_replicate_i_is_stream_i_in_stream_order():
+    # near-critical, so many replicates die and boxdim rejects some streams
+    params = PercolationParams(1, 2, 8, ProbSequence.mfp(0.55), seed=21)
+    K, R = params.depth, 100
+    counts = [sample_counts(params, i) for i in range(300)]
+    finals = [c[K] for c in counts[:R]]
+
+    measure = estimate_measure(params, R)
+    assert measure.estimate == (sum(finals) / R) * 2.0**-K
+    mean = sum(finals) / R
+    var = sum((x - mean) ** 2 for x in finals) / (R - 1)
+    assert measure.std_error == pytest.approx(math.sqrt(var / R) * 2.0**-K, rel=1e-12)
+    assert estimate_survival(params, R).estimate == sum(x > 0 for x in finals) / R
+
+    alive = [i for i, c in enumerate(counts) if c[K] > 0]
+    assert 20 < len(alive) < 280  # both deaths and enough survivors
+    box = estimate_boxdim(params, 20)
+    used = alive[:20]
+    assert box.attempts == 1 + used[-1]
+    assert box.per_level_counts == tuple(
+        sum(counts[i][k] for i in used) / 20 for k in range(3, K + 1)
+    )
 
 
 # -- CSV rows ----------------------------------------------------------------------
