@@ -1,14 +1,18 @@
-"""Print one repr line per case of the sampling layer.
+"""Print one repr line per case of the sampling layer and of the estimators.
 
-The grid is fixed: seven geometries (n, m, K), two of them with level keys
-near the 64-bit limit, six sequences (one a tail-less prefix shorter than
-some depths), two cell budgets, the smallest and largest seed, and three
-streams.  Each line gives ``generate``'s level counts with a sha256 of its
-level bytes, and ``sample_counts``' result.  An error prints as
+The sampling grid is fixed: seven geometries (n, m, K), two of them with
+level keys near the 64-bit limit, six sequences (one a tail-less prefix
+shorter than some depths), two cell budgets, the smallest and largest seed,
+and three streams.  Each line gives ``generate``'s level counts with a
+sha256 of its level bytes, and ``sample_counts``' result.  Then, for three
+small geometries, the same sequences and both seeds, one line per estimator
+gives its report as a dict: ``measure`` and ``survival`` over 100
+replicates, ``boxdim`` over 10 survivors within 50 attempts each; these
+draw many streams through one re-keyed bit generator.  An error prints as
 ``(error type, level, count, message)``, with level and count None unless
 it is a budget error.  Two versions of the package that print byte-identical
-output sample bit-identical realizations and raise the same errors
-everywhere on the grid.
+output sample bit-identical realizations and estimates and raise the same
+errors everywhere on the grid.
 
     PYTHONPATH=src python scripts/sample_probe.py > probe.txt
 """
@@ -16,6 +20,7 @@ everywhere on the grid.
 import hashlib
 
 from perclab import PercolationParams, ProbSequence, generate, sample_counts
+from perclab.estimators import estimate_boxdim, estimate_measure, estimate_survival
 
 GEOMETRIES = ((1, 2, 20), (2, 2, 10), (2, 3, 7), (3, 3, 5), (3, 2, 7), (2, 10, 9), (3, 4, 10))
 SEQUENCES = (
@@ -29,6 +34,12 @@ SEQUENCES = (
 BUDGETS = (1 << 20, 1000)
 SEEDS = (0, (1 << 64) - 1)
 STREAMS = (0, 1, 2)
+ESTIMATOR_GEOMETRIES = ((1, 2, 12), (2, 2, 6), (3, 2, 6))
+ESTIMATORS = (
+    ("measure", lambda params: estimate_measure(params, 100)),
+    ("survival", lambda params: estimate_survival(params, 100)),
+    ("boxdim", lambda params: estimate_boxdim(params, 10, max_attempts=50)),
+)
 
 
 def outcome(fn):
@@ -56,6 +67,13 @@ def main():
                         gen = outcome(lambda: levels_digest(params, stream))
                         counts = outcome(lambda: sample_counts(params, stream))
                         print(repr((n, m, depth, label, budget, seed, stream, gen, counts)))
+    for n, m, depth in ESTIMATOR_GEOMETRIES:
+        for label, seq in SEQUENCES:
+            for seed in SEEDS:
+                params = PercolationParams(n, m, depth, seq, seed=seed, cell_budget=BUDGETS[0])
+                for quantity, estimate in ESTIMATORS:
+                    result = outcome(lambda: estimate(params).to_dict())
+                    print(repr(("estimate", quantity, n, m, depth, label, seed, result)))
 
 
 if __name__ == "__main__":

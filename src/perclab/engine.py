@@ -7,14 +7,20 @@ each level as its sorted row-major uint64 keys (8 bytes per cell), so
 memory tracks the live population and a realization needs m^(nK) <= 2^64.
 
 Randomness is a Philox-4x64 counter-based stream keyed by (seed, stream);
-variates are consumed in a fixed order (parents in sorted order, children in
-digit order), so a realization is bit-identical across runs and platforms
-for a fixed key, and distinct replicates use disjoint keyed streams.
+one raw 64-bit word is drawn per candidate child in a fixed order (parents
+in sorted order, children in digit order), and a child is kept iff its word
+is at most an exact bound from p_k, which is the same test as u < p_k on the
+uniform u numpy's Philox makes of that word.  So a realization is
+bit-identical across runs and platforms for a fixed key and a fixed numpy,
+and distinct replicates use disjoint keyed streams.  One bit generator may
+serve many streams: it is re-keyed in place before each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +57,49 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """Philox-4x64 generator keyed by (seed, stream); the replicate stream contract."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox-4x64 generator keyed by (seed, stream); the replicate stream contract.
+
+    Its ``random()`` variates are the uniforms u that the draw loop tests
+    as u < p_k, one per raw word; :func:`_draw_levels` makes the same test
+    on the words themselves.
+    """
+    return np.random.Generator(_key_stream(np.random.Philox(), seed, stream))
+
+
+_EMPTY_BLOCK = (0, 0, 0, 0)
+
+
+def _key_stream(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
+    """Set ``bitgen`` to the start of the stream keyed (seed, stream); return it.
+
+    The state is that of a fresh ``Philox(key=[seed, stream])``, whatever
+    ``bitgen`` drew before: counter 0, an empty four-word buffer and no
+    buffered uint32.  The dict follows numpy's Philox state layout.  Setting
+    it costs a fraction of building a bit generator, so a caller drawing
+    many streams re-keys one; its construction-time seed is overwritten.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _EMPTY_BLOCK, "key": (seed & _MASK64, stream & _MASK64)},
+        "buffer": _EMPTY_BLOCK,
+        "buffer_pos": len(_EMPTY_BLOCK),
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+@functools.lru_cache(maxsize=256)
+def _keep_bound(p: float) -> np.uint64 | None:
+    """The largest raw Philox word kept at probability p; None when p is 0.
+
+    numpy's Philox ``next_double`` maps a raw word x to u = (x >> 11) * 2^-53,
+    so u < p iff x >> 11 < ceil(p * 2^53) iff x <= (ceil(p * 2^53) << 11) - 1.
+    Scaling by 2^53 is exact, and p = 1 gives 2^64 - 1, which keeps every
+    word.  Memoized: every replicate of one params asks for the same bounds.
+    """
+    t = math.ceil(p * 2.0**53)
+    return np.uint64((t << 11) - 1) if t else None
 
 
 @dataclass(frozen=True)
@@ -281,34 +327,48 @@ def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
     return out
 
 
-def _draw_levels(params: PercolationParams, stream: int, probs: tuple[float, ...]):
+def _draw_levels(
+    params: PercolationParams,
+    stream: int,
+    probs: tuple[float, ...],
+    bitgen: np.random.Philox | None = None,
+):
     """Yield (keep mask, kept count) for levels 1, 2, ... of one realization.
 
     The stream contract of :func:`generate` and :func:`sample_counts`.  Level
     k has X_{k-1} * m^n candidates, parents in sorted order and children in
     digit order.  If they would exceed the cell budget, the run aborts with
     the level and count (conservative on purpose: it also bounds peak
-    memory).  Otherwise one uniform per candidate is drawn from the keyed
-    stream in that order, and a child is kept iff its variate is strictly
-    below p_k, so p_k = 1 always retains.  A level past one chunk draws its
-    uniforms _CHUNK at a time: consecutive draws continue the stream, so the
-    variates are the same.  Past a tail-less prefix, ``p_at`` raises.
-    Drawing stops after the first empty level.
+    memory).  Otherwise one raw 64-bit word per candidate is drawn in that
+    order from ``bitgen`` (a new Philox if None), first re-keyed by
+    :func:`_key_stream` to (seed, stream).  A child is kept iff its word is
+    at most ``_keep_bound(p_k)``, which holds iff u < p_k for the uniform u
+    that numpy's Philox ``next_double`` makes of the word, the variate
+    ``stream_generator(seed, stream).random()`` gives there; so p_k = 1
+    always retains.  A p_k that underflowed to 0 has no bound: its level
+    keeps nothing and draws nothing.  A level past one chunk draws its words
+    _CHUNK at a time: consecutive draws continue the stream, so the words are
+    the same.  Past a tail-less prefix, ``p_at`` raises.  Drawing stops after
+    the first empty level.
     """
-    rng = stream_generator(params.seed, stream)
+    bitgen = _key_stream(np.random.Philox() if bitgen is None else bitgen, params.seed, stream)
     mn = params.m**params.n
     kept = 1
     for k in range(1, params.depth + 1):
         candidates = kept * mn
         if candidates > params.cell_budget:
             raise BudgetExceededError(k, candidates, params.cell_budget)
-        p = probs[k - 1] if k <= len(probs) else params.seq.p_at(k)
-        if candidates <= _CHUNK:
-            keep = rng.random(candidates) < p
+        bound = _keep_bound(probs[k - 1] if k <= len(probs) else params.seq.p_at(k))
+        if bound is None:
+            keep = np.zeros(candidates, dtype=bool)
+        elif candidates <= _CHUNK:
+            keep = bitgen.random_raw(candidates) <= bound
         else:
             keep = np.empty(candidates, dtype=bool)
             for lo in range(0, candidates, _CHUNK):
-                np.less(rng.random(min(_CHUNK, candidates - lo)), p, out=keep[lo : lo + _CHUNK])
+                # a chunk's words stay unnamed: freed before the next chunk is drawn
+                size = min(_CHUNK, candidates - lo)
+                np.less_equal(bitgen.random_raw(size), bound, out=keep[lo : lo + _CHUNK])
         kept = int(np.count_nonzero(keep))
         yield keep, kept
         if kept == 0:
@@ -351,20 +411,24 @@ def level_probs(params: PercolationParams) -> tuple[float, ...]:
 
 
 def sample_counts(
-    params: PercolationParams, stream: int = 0, probs: tuple[float, ...] | None = None
+    params: PercolationParams,
+    stream: int = 0,
+    probs: tuple[float, ...] | None = None,
+    bitgen: np.random.Philox | None = None,
 ) -> list[int]:
     """Level counts X_0..X_K of ``generate(params, stream)``, without its cells.
 
     Draws through the same :func:`_draw_levels` loop, so it consumes the
-    same uniforms and raises the same errors at the same level, but keeps
+    same words and raises the same errors at the same level, but keeps
     only each level's kept count: no coordinate is expanded, sorted or
-    stored.  ``probs`` is ``level_probs(params)``; callers sampling many
-    streams pass it once.
+    stored.  ``probs`` is ``level_probs(params)`` and ``bitgen`` a Philox
+    bit generator, re-keyed to the stream before it is drawn from; callers
+    sampling many streams pass both once.
     """
     if probs is None:
         probs = level_probs(params)
     counts = [1]
-    counts.extend(kept for _, kept in _draw_levels(params, stream, probs))
+    counts.extend(kept for _, kept in _draw_levels(params, stream, probs, bitgen))
     counts.extend([0] * (params.depth + 1 - len(counts)))
     return counts
 

@@ -3,16 +3,21 @@
 Every estimate reads only the level counts X_0..X_K of its replicates.
 Replicate i is ``sample_counts(params, i)``: the counts of the realization
 ``generate`` would build on the Philox stream keyed (seed, i), drawn on the
-same stream contract but without building coordinates.  ``_replicates`` is
-the one place that maps replicates to streams: all three estimators draw
-them inline, in stream order, and fold them in that order, so results are
-deterministic for a fixed (seed, params, replicates).
+same stream contract (one raw word per candidate, kept iff it is at most
+the exact bound for p_k) but without building coordinates.  ``_replicates``
+is the one place that maps replicates to streams: it builds one Philox bit
+generator per estimator call and re-keys it to (seed, i) before replicate
+i.  All three estimators draw the replicates inline, in stream order, and
+fold them in that order, so results are deterministic for a fixed (seed,
+params, replicates) and a fixed numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .dimensions import expected_measure
 from .engine import PercolationParams, level_probs, sample_counts
@@ -110,10 +115,15 @@ def branching_extinction_prob(
 
 
 def _replicates(params: PercolationParams, count: int):
-    """Level counts of replicates 0..count-1, drawn lazily in stream order."""
+    """Level counts of replicates 0..count-1, drawn lazily in stream order.
+
+    One Philox bit generator per call, re-keyed to stream i before replicate
+    i, serves every replicate; it is never shared between calls.
+    """
     probs = level_probs(params)
+    bitgen = np.random.Philox()
     for i in range(count):
-        yield sample_counts(params, i, probs)
+        yield sample_counts(params, i, probs, bitgen)
 
 
 def _z_score(estimate: float, theory: float | None, se: float) -> float | None:

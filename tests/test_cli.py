@@ -118,6 +118,49 @@ def test_render_pgm_pinned_digest(tmp_path, capsys, args, digest):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+UNDERFLOW_SURVIVAL = (
+    "survival", "--family", "power_head", "--p", "1e-200", "--a", "2", "--n", "1", "--m", "2",
+    "--depth", "5", "--reps", "100",
+)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("measure", "--family", "mfp", "--p", "0.7", "--n", "2", "--m", "2", "--depth", "6",
+          "--reps", "300", "--seed", "5"),
+         "ff93ffa0dd63afa0e38ca879f2d63bd76b397cccde91fe079d37ca6c59ea2b25"),
+        (("measure", "--family", "explicit", "--prefix", "0.6,0.9", "--tail", "1.0", "--n", "1",
+          "--m", "3", "--depth", "5", "--reps", "200", "--seed", "8"),
+         "b945d2311c3f978e835aec48f2051c19f3d5aaae5352aec06535e32c5cc6a3cc"),
+        (("survival", "--family", "power_telescope", "--p", "0.6", "--a", "0.3", "--n", "1",
+          "--m", "2", "--depth", "12", "--reps", "500", "--seed", "9"),
+         "de4032135a46bdf62821c707d8fc6474db12ac7755db92d08af1fefb7e380193"),
+        (UNDERFLOW_SURVIVAL,
+         "769402deea6d7de0d6ec91a71438dce6f1485658f7852de998d0d422faf81f9b"),
+        (("boxdim", "--family", "mfp", "--p", "0.45", "--n", "2", "--m", "2", "--depth", "7",
+          "--reps", "30", "--seed", "3"),
+         "088fed48b973efa5fdf63b907afe156311e8b044afa76159bded93d514a99791"),
+    ],
+    ids=["measure", "measure-tail-1", "survival", "survival-underflow", "boxdim-rejecting"],
+)
+def test_estimator_result_pinned_digest(capsys, args, digest):
+    # sha256 of the JSON result: pins the replicate-to-stream map, the draw
+    # order and keep test, and each estimator's fold together
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_underflowed_retention_keeps_nothing(capsys):
+    # p_1 = (1e-200)^2 underflows to 0.0: no candidate is kept, nothing fails
+    rc, out, _ = run(capsys, *UNDERFLOW_SURVIVAL)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["estimate"] == 0.0 and result["replicates"] == 100
+
+
 def test_render_spec_scale(tmp_path, capsys):
     out_path = tmp_path / "c8.pgm"
     rc, _, _ = run(

@@ -330,14 +330,117 @@ def test_generate_rejects_keys_past_64_bits(monkeypatch, n, m, depth):
     assert m ** (n * depth) > 2**64
     assert len(sample_counts(params)) == depth + 1
 
-    def no_stream(seed, stream):
-        raise AssertionError("stream drawn from before the key-width check")
+    def no_stream(bitgen, seed, stream):
+        raise AssertionError("stream keyed before the key-width check")
 
-    monkeypatch.setattr(engine, "stream_generator", no_stream)
+    # every draw keys its stream through _key_stream first, so the patch
+    # would catch a draw; sample_counts shows that it is on the draw path
+    monkeypatch.setattr(engine, "_key_stream", no_stream)
+    with pytest.raises(AssertionError, match="stream keyed"):
+        sample_counts(params)
     with pytest.raises(InvalidParamsError, match="exceeds 2\\^64"):
         generate(params)
     with pytest.raises(InvalidParamsError, match="exceeds 2\\^64"):
         Realization(params, [np.zeros((1, n))] + [[]] * depth)
+
+
+# -- raw-word keep test and re-keyed bit generators ---------------------------------
+
+
+UNIT = 2.0**-53  # the spacing of numpy's double uniforms
+EDGE_PROBS = [
+    1.0,
+    1e-200 * 1e-200,  # 0.0, as a catalog p_k reaches it by underflow
+    5e-324,
+    UNIT,
+    3 * UNIT,
+    1.0 - UNIT,
+    math.nextafter(0.5, 0.0),
+    math.nextafter(0.5, 1.0),
+    0.8,
+    0.95,
+]
+EDGE_KEYS = [(0, 0), (12, 3), (2**64 - 1, 2**64 - 1)]
+
+
+def _uniform(word: int) -> float:
+    """numpy's Philox next_double of one raw word."""
+    return (word >> 11) * UNIT
+
+
+@pytest.mark.parametrize("seed, stream", EDGE_KEYS)
+def test_philox_uniform_is_the_top_53_bits_of_its_word(seed, stream):
+    words = engine.stream_generator(seed, stream).bit_generator.random_raw(4099)
+    uniforms = engine.stream_generator(seed, stream).random(4099)
+    assert uniforms.tolist() == [_uniform(int(w)) for w in words]
+
+
+@pytest.mark.parametrize("p", EDGE_PROBS)
+def test_keep_bound_splits_the_words_at_p(p):
+    bound = engine._keep_bound(p)
+    if p == 0.0:
+        assert bound is None  # no word has a uniform below 0
+        assert _uniform(0) >= p
+        return
+    bound = int(bound)
+    assert 0 <= bound < 2**64
+    assert _uniform(bound) < p
+    if bound < 2**64 - 1:
+        assert _uniform(bound + 1) >= p
+    else:
+        assert p == 1.0  # every word is kept
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("p", EDGE_PROBS)
+def test_raw_word_mask_matches_the_uniform_test(monkeypatch, chunk, p):
+    # one level of m = 4099 candidates: the mask word for word against u < p
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    bitgen = np.random.Philox()
+    for seed, stream in EDGE_KEYS:
+        params = PercolationParams(1, 4099, 1, FULL, seed=seed)
+        [(keep, kept)] = engine._draw_levels(params, stream, (p,), bitgen)
+        want = engine.stream_generator(seed, stream).random(4099) < p
+        assert np.array_equal(keep, want)
+        assert kept == int(np.count_nonzero(want))
+
+
+def _fresh_state(seed, stream):
+    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).state
+
+
+def _assert_state_equal(got, want):
+    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert got["buffer"].tolist() == want["buffer"].tolist()
+    assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+    ]
+
+
+@pytest.mark.parametrize("seed, stream", EDGE_KEYS)
+def test_rekeyed_bit_generator_matches_a_fresh_stream(seed, stream):
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    # an odd-length draw leaves the four-word buffer mid-block
+    bitgen.random_raw(5)
+    assert bitgen.state["buffer_pos"] not in (0, 4)
+    engine._key_stream(bitgen, seed, stream)
+    _assert_state_equal(bitgen.state, _fresh_state(seed, stream))
+    want = engine.stream_generator(seed, stream).bit_generator.random_raw(11)
+    assert np.array_equal(bitgen.random_raw(11), want)
+    # a uint32 draw buffers the other half of its word
+    rng.integers(0, 2**32, dtype=np.uint32)
+    assert bitgen.state["has_uint32"] == 1
+    engine._key_stream(bitgen, seed, stream)
+    _assert_state_equal(bitgen.state, _fresh_state(seed, stream))
+    fresh = engine.stream_generator(seed, stream)
+    assert np.array_equal(
+        rng.integers(0, 2**32, size=5, dtype=np.uint32),
+        fresh.integers(0, 2**32, size=5, dtype=np.uint32),
+    )
+    assert np.array_equal(rng.random(9), fresh.random(9))
 
 
 # -- chunked expansion and the packed level store -----------------------------------
@@ -360,11 +463,13 @@ def test_chunked_generate_matches_reference(monkeypatch, chunk, n, m, depth, p, 
 
 
 def test_chunked_draw_gives_the_same_masks(monkeypatch):
+    # one bit generator serves both draws: the second re-keys it mid-block
     params = _params(n=2, m=3, depth=5, seq=ProbSequence.mfp(0.7), seed=12)
     probs = level_probs(params)
-    whole = list(engine._draw_levels(params, 0, probs))
+    bitgen = np.random.Philox()
+    whole = list(engine._draw_levels(params, 0, probs, bitgen))
     monkeypatch.setattr(engine, "_CHUNK", 7)
-    chunked = list(engine._draw_levels(params, 0, probs))
+    chunked = list(engine._draw_levels(params, 0, probs, bitgen))
     assert len(whole) == len(chunked) == 5
     assert whole[-1][0].shape[0] > 7  # the last level spans several chunks
     for (a, x), (b, y) in zip(whole, chunked):

@@ -69,16 +69,26 @@ def test_analytic_probe_prints_one_line_per_call(tmp_path):
 def test_sample_probe_prints_one_line_per_case(tmp_path):
     proc = run_script("sample_probe.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    samples = [line for line in lines if line[0] != "estimate"]
+    estimates = lines[len(samples):]
     # 7 geometries, 6 sequences, 2 budgets, 2 seeds and 3 streams
-    assert len(lines) == 504
+    assert len(samples) == 504
     kinds = set()
-    for line in lines:
-        *_, gen, counts = ast.literal_eval(line)
+    for *_, gen, counts in samples:
         # both samplers give the same counts or the same error
         assert (gen[0] if isinstance(counts, list) else gen) == counts
         kinds.add("counts" if isinstance(counts, list) else counts[0])
     assert kinds == {"counts", "BudgetExceededError", "InvalidParamsError"}
+    # then 3 geometries, 6 sequences, 2 seeds and 3 estimators
+    assert len(estimates) == 108 and all(line[0] == "estimate" for line in estimates)
+    outcomes = {(line[1], "report" if isinstance(line[-1], dict) else line[-1][0])
+                for line in estimates}
+    assert outcomes == {
+        ("measure", "report"), ("survival", "report"), ("boxdim", "report"),
+        ("measure", "InvalidParamsError"), ("survival", "InvalidParamsError"),
+        ("boxdim", "InvalidParamsError"), ("boxdim", "AllExtinctError"),
+    }
 
 
 def test_cli_probe_prints_one_line_per_call(tmp_path):
