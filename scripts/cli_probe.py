@@ -3,10 +3,12 @@
 The matrix is fixed: every subcommand, every flag of each, valid config
 files and invalid ones, and the flag and config errors the CLI must turn
 into exit codes.  Each line holds the argv, the exit code, the sha256 of
-stdout, the sha256 of the ``--out`` file (or None) and the error type named
-on stderr (``argparse`` for a usage message, None when there is none).  Two
-versions of the package that print the same line for a call gave that call
-the same bytes and the same exit code.
+stdout, the sha256 of stderr (the summary line or the error message), the
+sha256 of the ``--out`` file (or None) and the error type named on stderr
+(``argparse`` for a usage message, None when there is none).  Two versions
+of the package that print the same line for a call gave that call the same
+bytes and the same exit code.  An exception that escapes ``main`` is
+printed in place of the exit code.
 
 Config files and outputs go to fixed relative names inside a temporary
 directory that the script makes, enters and removes, so the echoed configs,
@@ -73,6 +75,7 @@ FLAG_CALLS = [
     ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4", "--out", "probe.json"),
     ("witness", "--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3", "--format", "json"),
     ("witness", "--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
+    ("witness", "--r", "1.5", "--n", "2", "--ledger", "--out", "probe.txt"),
     ("sweep", "--quantity", "measure", *TELESCOPE, "--p-grid", "0.4:0.8:3", "--depth", "4", "--reps", "30",
      "--seed", "9"),
     ("sweep", "--quantity", "dims", "--family", "power_telescope", "--p", "0.6", "--n", "2", "--m", "2",
@@ -88,6 +91,12 @@ FLAG_CALLS = [
     ("dims", *PLANE, "--window", "3"),
     ("dims", "--family", "mfp", "--p", "abc"),
     ("dims", *PLANE, "--out", "probe.json", "--format", "pgm"),
+    ("dims", *PLANE, "--out", "missing/probe.json"),
+    ("witness", "--r", "1.5", "--n", "2", "--ledger", "--format", "csv"),
+    ("generate", *PLANE, "--depth", "4", "--stream", "-1"),
+    ("generate", *PLANE, "--depth", "4", "--stream", "18446744073709551616"),
+    ("generate", "--family", "mfp", "--p", "1.0", "--n", "2", "--depth", "20", "--budget", "1000",
+     "--format", "csv"),
     ("generate", "--family", "explicit", "--tail", "1.0", "--n", "2", "--m", "2", "--depth", "5",
      "--budget", "10"),
     ("render", *PLANE),
@@ -158,9 +167,14 @@ def call(argv: tuple[str, ...]) -> tuple:
         os.unlink(out_path)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except Exception as exc:  # a traceback is an outcome to compare, too
+            code = f"raised {type(exc).__name__}"
     out_sha = sha256(Path(out_path).read_bytes()) if out_path and os.path.exists(out_path) else None
-    return argv, code, sha256(stdout.getvalue().encode("utf-8")), out_sha, error_type(code, stderr.getvalue())
+    out, err = stdout.getvalue(), stderr.getvalue()
+    return (argv, code, sha256(out.encode("utf-8")), sha256(err.encode("utf-8")), out_sha,
+            error_type(code, err))
 
 
 def run_matrix():

@@ -2,11 +2,16 @@
 
 Precedence is flags > config file > defaults.  Each option is declared once
 in ``_OPTIONS``, whose parser types its value once, from either source.
-Every run echoes the fully resolved configuration (and the tool version)
-alongside its results, so a saved output is a complete recipe for
-reproducing itself.  Outputs are
-written atomically (temp file + rename).  Exit codes: 0 success, 2 config
-errors, 3 domain errors, 4 budget errors; failures print one machine
+Each subcommand is declared once in ``_COMMANDS``: its help, its flags, the
+formats it writes (the first is the default) and its runner.  ``main``
+picks the format before any work; the runner returns its payload in that
+format and a summary line for stderr; ``_emit`` writes the payload (JSON,
+CSV, PGM with a provenance line on stdout, or the witness ledger),
+atomically to ``--out`` (temp file + rename) or to stdout.  Every run echoes
+the fully resolved configuration (and the tool version) alongside its
+results, so a saved output is a complete recipe for reproducing itself.
+Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
+them), 3 domain errors, 4 budget errors; failures print one machine
 readable JSON line on stderr.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -24,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dimensions import DimensionReport, full_report
+from .dimensions import full_report
 from .engine import (
     DEFAULT_CELL_BUDGET,
     PercolationParams,
@@ -38,6 +44,7 @@ from .engine import (
 from .errors import BudgetExceededError, InvalidParamsError, PercLabError
 from .estimators import (
     CSV_COLUMNS,
+    QUANTITY_BOXDIM,
     _z_score,
     csv_row,
     estimate_boxdim,
@@ -141,6 +148,13 @@ class _Option(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
+class _Command(NamedTuple):
+    help: str
+    fields: tuple[str, ...]  # flags after --out and --format
+    formats: tuple[str, ...]  # the first is the default
+    run: Callable  # (cfg, fmt) -> (payload in fmt, stderr summary line)
+
+
 # every config field, keyed by name; a config file uses the same names
 _OPTIONS = {
     "out": _Option("--out", _text, None, "output path (stdout when omitted; required for pgm)"),
@@ -170,7 +184,7 @@ _OPTIONS = {
     "l": _Option("--l", _real, 0.0, "target expected measure"),
     "case": _Option("--case", _text, "union", "fractional | integer | positive | union"),
     "terms": _Option("--terms", _integer, 8, "union terms J for integer targets"),
-    "ledger": _Option("--ledger", _boolean, False, "print the text ledger"),
+    "ledger": _Option("--ledger", _boolean, False, "write the text ledger, not the JSON report"),
 }
 
 _SEQ = ("family", "p", "a", "prefix", "tail", "n", "m")
@@ -178,19 +192,6 @@ _SIM = _SEQ + ("depth", "seed", "budget")
 _EST = _SIM + ("replicates", "threads")
 _WINDOWED = ("window", "method")
 _BOX = ("fit", "max_attempts")
-
-# the fields each subcommand takes as flags, after --out and --format
-_COMMANDS = {
-    "dims": ("analytic/windowed dimension report", _SEQ + _WINDOWED),
-    "classify": ("survival/interior classifier", _SEQ + _WINDOWED),
-    "generate": ("sample one realization to JSON", _SIM + ("stream",)),
-    "render": ("sample and rasterize one planar realization to PGM", _SIM + ("stream", "level")),
-    "measure": ("Monte Carlo expected-measure estimate", _EST),
-    "survival": ("Monte Carlo survival-frequency estimate", _EST),
-    "boxdim": ("box-counting slope over surviving replicates", _EST + _BOX),
-    "witness": ("build a (dimension, measure) witness report", ("n", "m", "r", "l", "case", "terms", "ledger")),
-    "sweep": ("grid sweep over one parameter, CSV out", _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"perclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (helptext, fields) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=helptext)
+    for command, spec in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=spec.help)
         cmd.add_argument("--config", help="JSON config file; flags override its fields")
-        for field in ("out", "format") + fields:
+        for field in ("out", "format") + spec.fields:
             opt = _OPTIONS[field]
             # flags stay strings here; resolve_config types them with the file's values
             if opt.parse is _boolean:
@@ -283,118 +284,111 @@ def _family_label(cfg: dict) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# output: the format is picked before any work, and one emitter writes it
 
 
 def _atomic_write(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".perclab-tmp-")
+    """Temp file in the target directory, then rename; a failed write is a config error."""
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".perclab-tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # strerror only: the full message names the random temp file
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _doc(cfg: dict, result) -> dict:
     return {"tool": "perclab", "version": __version__, "config": cfg, "result": result}
 
 
-def _emit_json(cfg: dict, result, out) -> None:
-    text = json.dumps(_doc(cfg, result), indent=2, sort_keys=True) + "\n"
-    if out:
-        _atomic_write(out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(cfg: dict, rows: list[list[str]], out) -> None:
-    lines = [
-        f"# version: perclab {__version__}",
-        "# config: " + json.dumps(cfg, sort_keys=True),
-        ",".join(CSV_COLUMNS),
-    ]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        _atomic_write(out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
-
-
-def _pick_format(cfg: dict, allowed: tuple[str, ...], default: str) -> str:
-    fmt = cfg.get("format")
-    if not fmt and cfg.get("out"):
+def _pick_format(cfg: dict, spec: _Command) -> str:
+    """``--ledger``, else ``--format``, else the ``--out`` extension, else the default."""
+    fmt = cfg["format"]
+    if cfg["ledger"] and "ledger" in spec.fields:
+        if fmt:
+            raise ConfigError("--ledger writes the text ledger and takes no --format")
+        return "ledger"
+    if not fmt and cfg["out"]:
         ext = os.path.splitext(cfg["out"])[1].lstrip(".").lower()
-        if ext in allowed:
+        if ext in spec.formats:
             fmt = ext
-    fmt = fmt or default
-    if fmt not in allowed:
-        raise ConfigError(f"format {fmt!r} not supported here (choose from {list(allowed)})")
+    fmt = fmt or spec.formats[0]
+    if fmt not in spec.formats:
+        raise ConfigError(f"format {fmt!r} not supported here (choose from {list(spec.formats)})")
+    if fmt == "pgm" and not cfg["out"]:
+        raise ConfigError("render writes binary PGM; --out is required")
     return fmt
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _dims_report(cfg: dict) -> DimensionReport:
-    return full_report(
-        build_seq(cfg), cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"]
-    )
-
-
-def _dims_row(cfg: dict, rep: DimensionReport) -> list[str]:
-    family, fparams = _family_label(cfg)
-    return csv_row(
-        "dims", None, family, fparams, None, rep.hausdorff, 0.0, rep.hausdorff, None, n=rep.n, m=rep.m
-    )
-
-
-def cmd_dims(cfg: dict) -> str:
-    rep = _dims_report(cfg)
-    fmt = _pick_format(cfg, ("json", "csv"), "json")
+def _emit(cfg: dict, fmt: str, payload) -> None:
+    """Write a runner's payload in ``fmt``, atomically to ``--out`` or to stdout."""
+    if fmt == "pgm":
+        pgm, side = payload
+        _atomic_write(cfg["out"], pgm)
+        # provenance for the binary output goes to stdout instead of the file
+        doc = _doc(cfg, {"out": cfg["out"], "width": side, "height": side})
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        return
     if fmt == "json":
-        _emit_json(cfg, rep.to_dict(), cfg["out"])
+        text = json.dumps(_doc(cfg, payload), indent=2, sort_keys=True)
+    elif fmt == "csv":
+        lines = [f"# version: perclab {__version__}", "# config: " + json.dumps(cfg, sort_keys=True)]
+        text = "\n".join(lines + [",".join(CSV_COLUMNS)] + [",".join(row) for row in payload])
+    else:  # the witness ledger
+        text = payload
+    text += "\n"
+    if cfg["out"]:
+        _atomic_write(cfg["out"], text.encode("utf-8"))
     else:
-        _emit_csv(cfg, [_dims_row(cfg, rep)], cfg["out"])
-    return (
+        sys.stdout.write(text)
+
+
+# ---------------------------------------------------------------------------
+# runners: each takes the resolved config and the picked format, and returns
+# the payload in that format with the summary line for stderr
+
+
+def _run_dims(cfg: dict, fmt: str):
+    rep = full_report(build_seq(cfg), cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"])
+    if fmt == "json":
+        payload = rep.to_dict()
+    else:
+        payload = [csv_row("dims", None, *_family_label(cfg), None, rep.hausdorff, 0.0, rep.hausdorff, None,
+                           n=rep.n, m=rep.m)]
+    return payload, (
         f"dims {cfg['family']} n={cfg['n']} m={cfg['m']}: hausdorff={rep.hausdorff:.6g} "
         f"packing={rep.packing:.6g} assouad={rep.assouad:.6g} measure={rep.expected_measure:.6g} "
         f"[{rep.method}]"
     )
 
 
-def cmd_classify(cfg: dict) -> str:
-    seq = build_seq(cfg)
-    rep = classify(seq, cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"])
-    _pick_format(cfg, ("json",), "json")
-    _emit_json(cfg, rep.to_dict(), cfg["out"])
-    return (
+def _run_classify(cfg: dict, fmt: str):
+    rep = classify(build_seq(cfg), cfg["n"], cfg["m"], window=cfg["window"], method=cfg["method"])
+    return rep.to_dict(), (
         f"classify {cfg['family']} n={cfg['n']} m={cfg['m']}: alpha={rep.alpha:.6g} beta={rep.beta:.6g} "
         f"{rep.survival_class}/{rep.interior_class}"
     )
 
 
-def cmd_generate(cfg: dict) -> str:
+def _run_generate(cfg: dict, fmt: str):
     params = build_params(cfg)
     r = generate(params, stream=cfg["stream"])
-    _pick_format(cfg, ("json",), "json")
-    _emit_json(cfg, realization_to_dict(r), cfg["out"])
-    return (
+    return realization_to_dict(r), (
         f"generate {cfg['family']} n={params.n} m={params.m} K={params.depth} seed={params.seed}: "
         f"X_K={r.counts[params.depth]} measure={r.measure_at(params.depth):.6g}"
     )
 
 
-def cmd_render(cfg: dict) -> str:
+def _run_render(cfg: dict, fmt: str):
     params = build_params(cfg)
-    if not cfg.get("out"):
-        raise ConfigError("render writes binary PGM; --out is required")
-    _pick_format(cfg, ("pgm",), "pgm")
     level = params.depth if cfg["level"] is None else cfg["level"]
     if not 0 <= level <= params.depth:
         raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
@@ -403,76 +397,54 @@ def cmd_render(cfg: dict) -> str:
     # gives the same bytes at any depth; the realization is dropped once its
     # level is rasterized
     shallow = dataclasses.replace(params, depth=max(level, 1))
-    data = pgm_bytes(render_raster(generate(shallow, stream=cfg["stream"]), level))
-    _atomic_write(cfg["out"], data)
-    # provenance for the binary output goes to stdout instead of the file
-    sys.stdout.write(json.dumps(_doc(cfg, {"out": cfg["out"], "width": side, "height": side}),
-                                sort_keys=True) + "\n")
-    return f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
+    pgm = pgm_bytes(render_raster(generate(shallow, stream=cfg["stream"]), level))
+    return (pgm, side), f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
 
 
-def _run_estimator(cfg: dict, quantity: str, params: PercolationParams):
-    reps = cfg["replicates"]
-    if quantity == "survival":
-        return estimate_survival(params, reps)
-    if quantity == "measure":
-        return estimate_measure(params, reps)
-    return estimate_boxdim(params, reps, fit_levels=cfg["fit"], max_attempts=cfg["max_attempts"])
-
-
-def _estimator_row(cfg: dict, quantity: str, params: PercolationParams, rep) -> list[str]:
-    family, fparams = _family_label(cfg)
-    if quantity == "boxdim":
-        theory = None
-        if params.seq.limit is not None:
-            theory = full_report(params.seq, params.n, params.m).hausdorff
-        return csv_row(
-            "box_dimension", params, family, fparams, rep.replicates_used,
-            rep.slope, rep.slope_std_error, theory, _z_score(rep.slope, theory, rep.slope_std_error),
-        )
-    return csv_row(
-        rep.quantity, params, family, fparams, rep.replicates,
-        rep.estimate, rep.std_error, rep.theory, rep.z_score,
-    )
-
-
-def _cmd_estimate(cfg: dict, quantity: str) -> str:
+def _run_estimate(estimate: Callable, cfg: dict, fmt: str):
+    """``measure`` and ``survival``: one EstimateReport."""
     params = build_params(cfg)
-    rep = _run_estimator(cfg, quantity, params)
-    fmt = _pick_format(cfg, ("json", "csv"), "json")
+    rep = estimate(params, cfg["replicates"])
     if fmt == "json":
-        _emit_json(cfg, rep.to_dict(), cfg["out"])
+        payload = rep.to_dict()
     else:
-        _emit_csv(cfg, [_estimator_row(cfg, quantity, params, rep)], cfg["out"])
-    if quantity == "boxdim":
-        return (
-            f"boxdim {cfg['family']} n={params.n} m={params.m} K={params.depth}: "
-            f"slope={rep.slope:.6g} r2={rep.r_squared:.4f} attempts={rep.attempts}"
-        )
+        payload = [csv_row(rep.quantity, params, *_family_label(cfg), rep.replicates,
+                           rep.estimate, rep.std_error, rep.theory, rep.z_score)]
     theory = "n/a" if rep.theory is None else f"{rep.theory:.6g}"
-    return (
-        f"{quantity} {cfg['family']} n={params.n} m={params.m} K={params.depth} R={rep.replicates}: "
+    return payload, (
+        f"{cfg['command']} {cfg['family']} n={params.n} m={params.m} K={params.depth} R={rep.replicates}: "
         f"estimate={rep.estimate:.6g} se={rep.std_error:.3g} theory={theory}"
     )
 
 
-def cmd_witness(cfg: dict) -> str:
+def _run_boxdim(cfg: dict, fmt: str):
+    params = build_params(cfg)
+    rep = estimate_boxdim(params, cfg["replicates"], fit_levels=cfg["fit"], max_attempts=cfg["max_attempts"])
+    if fmt == "json":
+        payload = rep.to_dict()
+    else:
+        theory = None if params.seq.limit is None else full_report(params.seq, params.n, params.m).hausdorff
+        payload = [csv_row(QUANTITY_BOXDIM, params, *_family_label(cfg), rep.replicates_used, rep.slope,
+                           rep.slope_std_error, theory, _z_score(rep.slope, theory, rep.slope_std_error))]
+    return payload, (
+        f"boxdim {cfg['family']} n={params.n} m={params.m} K={params.depth}: "
+        f"slope={rep.slope:.6g} r2={rep.r_squared:.4f} attempts={rep.attempts}"
+    )
+
+
+def _run_witness(cfg: dict, fmt: str):
     if cfg["r"] is None:
         raise ConfigError("witness needs --r (target dimension)")
     spec = WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"], case=cfg["case"], terms=cfg["terms"])
     rep = build_witness(spec)
-    if cfg["ledger"]:
-        sys.stdout.write(format_witness_ledger(rep) + "\n")
-    else:
-        _pick_format(cfg, ("json",), "json")
-        _emit_json(cfg, rep.to_dict(), cfg["out"])
-    return (
+    return format_witness_ledger(rep) if fmt == "ledger" else rep.to_dict(), (
         f"witness case={spec.case}: combined_dim={rep.combined_dim:.10g} "
         f"combined_measure={rep.combined_measure:.10g} components={len(rep.components)}"
     )
 
 
-def cmd_sweep(cfg: dict) -> str:
+def _run_sweep(cfg: dict, fmt: str):
+    """One CSV row per grid point, from the ``--quantity`` command's own runner."""
     quantity = cfg["quantity"]
     if quantity is None:
         raise ConfigError("sweep needs --quantity survival|measure|boxdim|dims")
@@ -480,36 +452,32 @@ def cmd_sweep(cfg: dict) -> str:
         raise ConfigError("sweep needs exactly one of --p-grid / --a-grid")
     key, grid_spec = ("p", cfg["p_grid"]) if cfg["p_grid"] is not None else ("a", cfg["a_grid"])
     lo, hi, count = _parse_grid(grid_spec)
-    values = np.linspace(lo, hi, count)
-    master = cfg["seed"]
     rows = []
-    for value in values:
-        point = dict(cfg)
-        point[key] = float(value)
-        if quantity == "dims":
-            rows.append(_dims_row(point, _dims_report(point)))
-            continue
+    for value in np.linspace(lo, hi, count):
         # keyed by the grid value so repeated values reproduce identical rows
         value_bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-        point["seed"] = derive_seed(master, value_bits)
-        params = build_params(point)
-        rep = _run_estimator(point, quantity, params)
-        rows.append(_estimator_row(point, quantity, params, rep))
-    _pick_format(cfg, ("csv",), "csv")
-    _emit_csv(cfg, rows, cfg["out"])
-    return f"sweep {quantity} over {key}: {count} points in [{lo:g}, {hi:g}]"
+        point = dict(cfg, command=quantity, seed=derive_seed(cfg["seed"], value_bits))
+        point[key] = float(value)
+        rows += _COMMANDS[quantity].run(point, "csv")[0]
+    return rows, f"sweep {quantity} over {key}: {count} points in [{lo:g}, {hi:g}]"
 
 
-_RUNNERS = {
-    "dims": cmd_dims,
-    "classify": cmd_classify,
-    "generate": cmd_generate,
-    "render": cmd_render,
-    "measure": lambda cfg: _cmd_estimate(cfg, "measure"),
-    "survival": lambda cfg: _cmd_estimate(cfg, "survival"),
-    "boxdim": lambda cfg: _cmd_estimate(cfg, "boxdim"),
-    "witness": cmd_witness,
-    "sweep": cmd_sweep,
+# every subcommand, declared once
+_COMMANDS = {
+    "dims": _Command("analytic/windowed dimension report", _SEQ + _WINDOWED, ("json", "csv"), _run_dims),
+    "classify": _Command("survival/interior classifier", _SEQ + _WINDOWED, ("json",), _run_classify),
+    "generate": _Command("sample one realization to JSON", _SIM + ("stream",), ("json",), _run_generate),
+    "render": _Command("sample and rasterize one planar realization to PGM", _SIM + ("stream", "level"),
+                       ("pgm",), _run_render),
+    "measure": _Command("Monte Carlo expected-measure estimate", _EST, ("json", "csv"),
+                        functools.partial(_run_estimate, estimate_measure)),
+    "survival": _Command("Monte Carlo survival-frequency estimate", _EST, ("json", "csv"),
+                         functools.partial(_run_estimate, estimate_survival)),
+    "boxdim": _Command("box-counting slope over surviving replicates", _EST + _BOX, ("json", "csv"), _run_boxdim),
+    "witness": _Command("build a (dimension, measure) witness report",
+                        ("n", "m", "r", "l", "case", "terms", "ledger"), ("json",), _run_witness),
+    "sweep": _Command("grid sweep over one parameter, CSV out",
+                      _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX, ("csv",), _run_sweep),
 }
 
 
@@ -527,7 +495,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = resolve_config(args)
-        summary = _RUNNERS[cfg["command"]](cfg)
+        spec = _COMMANDS[cfg["command"]]
+        fmt = _pick_format(cfg, spec)
+        payload, summary = spec.run(cfg, fmt)
+        _emit(cfg, fmt, payload)
     except ConfigError as exc:
         return _fail(exc, 2)
     except BudgetExceededError as exc:

@@ -69,6 +69,12 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
 _EMPTY_BLOCK = (0, 0, 0, 0)
 
 
+def _check_stream(stream: int) -> None:
+    """A stream is the second word of the Philox key, so it must fit 64 bits."""
+    if not 0 <= stream <= _MASK64:
+        raise InvalidParamsError(f"stream must lie in [0, 2^64), got {stream}")
+
+
 def _key_stream(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
     """Set ``bitgen`` to the start of the stream keyed (seed, stream); return it.
 
@@ -382,8 +388,10 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     sum_a X_a * (m^k)^(n-1-a): children are expanded as keys in chunks,
     selected into one array and sorted in place with ``ndarray.sort``; the
     level is kept as those keys.  Params with m^(nK) > 2^64, whose deepest
-    keys would pass 64 bits, raise InvalidParamsError before any draw.
+    keys would pass 64 bits, and a stream outside [0, 2^64) raise
+    InvalidParamsError before any draw.
     """
+    _check_stream(stream)
     _check_key_width(params)
     m, n = params.m, params.n
     cells: list[np.ndarray] = [np.zeros(1, dtype=np.uint64)]
@@ -423,8 +431,10 @@ def sample_counts(
     only each level's kept count: no coordinate is expanded, sorted or
     stored.  ``probs`` is ``level_probs(params)`` and ``bitgen`` a Philox
     bit generator, re-keyed to the stream before it is drawn from; callers
-    sampling many streams pass both once.
+    sampling many streams pass both once.  A stream outside [0, 2^64)
+    raises InvalidParamsError, as in :func:`generate`.
     """
+    _check_stream(stream)
     if probs is None:
         probs = level_probs(params)
     counts = [1]
@@ -503,4 +513,6 @@ def realization_to_dict(r: Realization) -> dict:
 
 
 def realization_from_dict(d: dict) -> Realization:
-    return Realization(PercolationParams.from_dict(d), d["levels"], stream=int(d.get("stream", 0)))
+    stream = int(d.get("stream", 0))
+    _check_stream(stream)
+    return Realization(PercolationParams.from_dict(d), d["levels"], stream=stream)

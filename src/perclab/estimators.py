@@ -130,14 +130,24 @@ def _z_score(estimate: float, theory: float | None, se: float) -> float | None:
     return (estimate - theory) / se if (theory is not None and se > 0.0) else None
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < MIN_REPLICATES:
+        raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
+
+
+def _report(quantity: str, params: PercolationParams, replicates: int, est: float, se: float,
+            theory: float | None, theory_limit: float | None = None) -> EstimateReport:
+    return EstimateReport(quantity, est, se, replicates, params.depth, theory,
+                          _z_score(est, theory, se), theory_limit)
+
+
 def estimate_measure(params: PercolationParams, replicates: int) -> EstimateReport:
     """Mean and standard error of the depth-K measure over replicates.
 
     Counts are accumulated as exact integers in replicate order and divided
     once at the end, so the result is independent of execution interleaving.
     """
-    if replicates < MIN_REPLICATES:
-        raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
+    _check_replicates(replicates)
     K = params.depth
     s = 0
     s2 = 0
@@ -150,16 +160,8 @@ def estimate_measure(params: PercolationParams, replicates: int) -> EstimateRepo
     var_counts = float(replicates * s2 - s * s) / (replicates * (replicates - 1))
     se = math.sqrt(max(var_counts, 0.0) / replicates) * scale
     theory = math.exp(params.seq.log_prefix_product(K))
-    return EstimateReport(
-        quantity=QUANTITY_MEASURE,
-        estimate=est,
-        std_error=se,
-        replicates=replicates,
-        depth=K,
-        theory=theory,
-        z_score=_z_score(est, theory, se),
-        theory_limit=None if params.seq.limit is None else expected_measure(params.seq, params.n, params.m),
-    )
+    limit = None if params.seq.limit is None else expected_measure(params.seq, params.n, params.m)
+    return _report(QUANTITY_MEASURE, params, replicates, est, se, theory, limit)
 
 
 def estimate_survival(params: PercolationParams, replicates: int) -> EstimateReport:
@@ -169,8 +171,7 @@ def estimate_survival(params: PercolationParams, replicates: int) -> EstimateRep
     (fixed point of the Binomial(m^n, p) extinction map) for constant-p
     sequences, and unavailable otherwise.  Finite depth overestimates it.
     """
-    if replicates < MIN_REPLICATES:
-        raise InvalidParamsError(f"need at least {MIN_REPLICATES} replicates")
+    _check_replicates(replicates)
     K = params.depth
     hits = sum(1 for counts in _replicates(params, replicates) if counts[K] > 0)
     est = hits / replicates
@@ -178,15 +179,7 @@ def estimate_survival(params: PercolationParams, replicates: int) -> EstimateRep
     theory = None
     if params.seq.kind == KIND_MFP:
         theory = 1.0 - branching_extinction_prob(params.seq.p, params.m**params.n)
-    return EstimateReport(
-        quantity=QUANTITY_SURVIVAL,
-        estimate=est,
-        std_error=se,
-        replicates=replicates,
-        depth=K,
-        theory=theory,
-        z_score=_z_score(est, theory, se),
-    )
+    return _report(QUANTITY_SURVIVAL, params, replicates, est, se, theory)
 
 
 def _linear_fit(xs, ys) -> tuple[float, float, float]:

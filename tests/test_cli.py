@@ -304,6 +304,26 @@ def test_threads_leave_the_result_unchanged(capsys, command, args):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("dims", ("--n", "2", "--p", "0.9")),
+        ("survival", ("--n", "1", "--p", "0.6", "--depth", "6", "--reps", "100")),
+        ("boxdim", ("--n", "2", "--p", "0.9", "--depth", "6", "--reps", "2")),
+    ],
+    ids=["dims", "survival", "boxdim"],
+)
+def test_json_run_builds_no_csv_row(capsys, monkeypatch, command, args):
+    # a runner builds its payload in the picked format only: boxdim's CSV
+    # row would also compute a full dimension report for its theory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON run built a CSV row")
+
+    monkeypatch.setattr("perclab.cli.csv_row", refuse)
+    rc, out, _ = run(capsys, command, "--family", "mfp", "--m", "2", *args)
+    assert rc == 0 and json.loads(out)["result"]
+
+
 # -- witness -----------------------------------------------------------------------------
 
 
@@ -319,6 +339,28 @@ def test_witness_ledger(capsys):
     rc, out, _ = run(capsys, "witness", "--r", "0.5", "--n", "1", "--m", "2", "--ledger")
     assert rc == 0
     assert "max over components" in out
+
+
+def test_witness_ledger_honours_out(tmp_path, capsys):
+    args = ("witness", "--r", "1.5", "--n", "2", "--ledger")
+    rc, ledger, _ = run(capsys, *args)
+    assert rc == 0
+    out_path = tmp_path / "w.txt"
+    rc, out, err = run(capsys, *args, "--out", str(out_path))
+    assert rc == 0 and out == ""
+    assert out_path.read_text() == ledger
+    assert err.startswith("witness case=")
+    assert not list(tmp_path.glob(".perclab-tmp-*"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_witness_ledger_refuses_an_explicit_format(tmp_path, capsys, fmt):
+    # --ledger picks the text ledger; a --format beside it names another output
+    args = ("witness", "--r", "1.5", "--n", "2", "--ledger", "--format", fmt)
+    assert_config_error(*run(capsys, *args, "--out", str(tmp_path / "w.txt")))
+    assert not list(tmp_path.iterdir())
+    fields = {"r": 1.5, "n": 2, "ledger": True, "format": fmt}
+    assert_config_error(*run_config(tmp_path, capsys, "witness", fields))
 
 
 @pytest.mark.parametrize(
@@ -522,6 +564,62 @@ def test_budget_error_exit_4(capsys):
     )
     assert rc == 4
     assert json.loads(err.splitlines()[0])["error"] == "BudgetExceededError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--family", "mfp", "--p", "0.9", "--n", "2"),
+        ("render", "--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "3"),
+        ("witness", "--r", "1.5", "--n", "2", "--ledger"),
+    ],
+    ids=["json", "pgm", "ledger"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    # a write that fails is one ConfigError line, not a traceback, and
+    # leaves no temp file behind
+    (tmp_path / "sub").mkdir()
+    out_path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path / "sub"
+    rc, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert_config_error(rc, out, err)
+    assert f"cannot write {out_path}" in json.loads(err)["message"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--family", "mfp", "--p", "1.0", "--n", "2", "--depth", "20", "--budget", "1000",
+         "--format", "csv"),
+        ("render", "--family", "mfp", "--p", "1.0", "--n", "2", "--depth", "3", "--format", "json",
+         "--out", "x.pgm"),
+        ("render", "--family", "mfp", "--p", "1.0", "--n", "2", "--depth", "3"),
+    ],
+    ids=["generate-csv", "render-json", "render-without-out"],
+)
+def test_refused_format_exits_2_before_any_work(capsys, monkeypatch, argv):
+    # the format is resolved before the params are built (p = 1.0 would exit
+    # 3) and before anything is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the format was checked")
+
+    monkeypatch.setattr("perclab.cli.generate", refuse)
+    assert_config_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("command", ["generate", "render"])
+@pytest.mark.parametrize("stream", ["-1", "18446744073709551616"])
+def test_stream_outside_64_bits_exit_3(tmp_path, capsys, command, stream):
+    # once reduced modulo 2^64: stream 2^64 drew stream 0's cells
+    args = (command, "--family", "mfp", "--p", "0.8", "--n", "2", "--depth", "6",
+            "--out", str(tmp_path / "x.out"))
+    rc, out, err = run(capsys, *args, "--stream", stream)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+    assert not list(tmp_path.iterdir())
+    rc, out, _ = run(capsys, *args, "--stream", "18446744073709551615")
+    assert rc == 0
 
 
 def test_missing_family_exit_2(capsys):

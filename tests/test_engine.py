@@ -344,6 +344,35 @@ def test_generate_rejects_keys_past_64_bits(monkeypatch, n, m, depth):
         Realization(params, [np.zeros((1, n))] + [[]] * depth)
 
 
+@pytest.mark.parametrize("stream", [-1, 2**64, 2**64 + 3], ids=["negative", "2^64", "past-2^64"])
+def test_streams_outside_64_bits_rejected(monkeypatch, stream):
+    # a stream is the second Philox key word: reducing it modulo 2^64 would
+    # draw another stream than the one named, so no entry point takes it
+    params = _params(n=2, m=2, depth=4, seq=ProbSequence.mfp(0.8), seed=5)
+    d = realization_to_dict(generate(params))
+
+    def no_stream(bitgen, seed, stream):
+        raise AssertionError("stream keyed before the range check")
+
+    monkeypatch.setattr(engine, "_key_stream", no_stream)
+    with pytest.raises(InvalidParamsError, match=r"stream must lie in \[0, 2\^64\)"):
+        generate(params, stream)
+    with pytest.raises(InvalidParamsError, match=r"stream must lie in \[0, 2\^64\)"):
+        sample_counts(params, stream)
+    d["stream"] = stream
+    with pytest.raises(InvalidParamsError, match=r"stream must lie in \[0, 2\^64\)"):
+        realization_from_dict(d)
+
+
+def test_stream_at_the_top_of_64_bits_is_its_own():
+    # 2^64 - 1 is a valid stream, distinct from 0 and round-tripped as given
+    params = _params(n=2, m=2, depth=6, seq=ProbSequence.mfp(0.8), seed=5)
+    top = generate(params, 2**64 - 1)
+    assert sample_counts(params, 2**64 - 1) == top.counts
+    assert realization_from_dict(realization_to_dict(top)).stream == 2**64 - 1
+    assert [generate(params, s).counts for s in (0, 1)] != [top.counts] * 2
+
+
 # -- raw-word keep test and re-keyed bit generators ---------------------------------
 
 

@@ -100,8 +100,8 @@ def test_cli_probe_prints_one_line_per_call(tmp_path):
     for line in proc.stdout.splitlines():
         got = ast.literal_eval(line)
         calls.append(got if isinstance(got[0], tuple) else got[1])
-    # 50 flag calls, the malformed config file and 28 config contents
-    assert len(calls) == 79
+    # 56 flag calls, the malformed config file and 28 config contents
+    assert len(calls) == 85
     assert {code for _, code, *_ in calls} == {0, 2, 3, 4}
     assert {err for *_, err in calls} >= {None, "ConfigError", "argparse", "InvalidParamsError"}
     # every flag of every subcommand is exercised at least once
@@ -111,4 +111,4 @@ def test_cli_probe_prints_one_line_per_call(tmp_path):
         flags = {s for a in subparser._actions for s in a.option_strings} - {"-h", "--help"}
         assert flags <= used, (command, flags - used)
     # every successful --out call hashes the file it wrote
-    assert all(out_sha for argv, code, _, out_sha, _ in calls if "--out" in argv and code == 0)
+    assert all(out_sha for argv, code, _, _, out_sha, _ in calls if "--out" in argv and code == 0)
