@@ -8,7 +8,9 @@ eyeballing the nesting C(0) >= C(1) >= ... and the thinning at p < 1.
 import argparse
 import os
 
-from perclab import PercolationParams, ProbSequence, generate, pgm_bytes, render_raster
+import numpy as np
+
+from perclab import PercolationParams, ProbSequence, pgm_bytes, render_level
 
 
 def main():
@@ -24,14 +26,13 @@ def main():
     depths = [int(d) for d in args.depths.split(",")]
     for depth in depths:
         params = PercolationParams(2, args.m, depth, ProbSequence.mfp(args.p), seed=args.seed)
-        r = generate(params)
-        grid = render_raster(r, depth)
+        grid = render_level(params, depth)
         path = os.path.join(args.outdir, f"mfp_p{args.p:g}_m{args.m}_k{depth}.pgm")
         with open(path, "wb") as fh:
             fh.write(pgm_bytes(grid))
         side = args.m**depth
-        print(f"{path}: {side}x{side}, {r.counts[depth]} cells, "
-              f"measure {r.measure_at(depth):.4f}")
+        cells = int(np.count_nonzero(grid))  # one pixel per level-K cell
+        print(f"{path}: {side}x{side}, {cells} cells, measure {cells / side**2:.4f}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .engine import (
     pgm_bytes,
     realization_from_dict,
     realization_to_dict,
+    render_level,
     render_raster,
     sample_counts,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "generate",
     "sample_counts",
     "derive_seed",
+    "render_level",
     "render_raster",
     "pgm_bytes",
     "realization_to_dict",

@@ -4,12 +4,13 @@ Precedence is flags > config file > defaults.  Each option is declared once
 in ``_OPTIONS``, whose parser types its value once, from either source.
 Each subcommand is declared once in ``_COMMANDS``: its help, its flags, the
 formats it writes (the first is the default) and its runner.  ``main``
-picks the format before any work; the runner returns its payload in that
-format and a summary line for stderr; ``_emit`` writes the payload (JSON,
-CSV, PGM with a provenance line on stdout, or the witness ledger),
-atomically to ``--out`` (temp file + rename) or to stdout.  Every run echoes
-the fully resolved configuration (and the tool version) alongside its
-results, so a saved output is a complete recipe for reproducing itself.
+picks the format and checks that ``--out`` can be written before any work;
+the runner returns its payload in that format and a summary line for
+stderr; ``_emit`` writes the payload (JSON, CSV, PGM with a provenance line
+on stdout, or the witness ledger), atomically to ``--out`` (temp file +
+rename) or to stdout.  Every run echoes the fully resolved configuration
+(and the tool version) alongside its results, so a saved output is a
+complete recipe for reproducing itself.
 Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
 them), 3 domain errors, 4 budget errors; failures print one machine
 readable JSON line on stderr.
@@ -18,7 +19,7 @@ readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import errno
 import functools
 import json
 import os
@@ -37,11 +38,10 @@ from .engine import (
     derive_seed,
     generate,
     pgm_bytes,
-    raster_side,
     realization_to_dict,
-    render_raster,
+    render_level,
 )
-from .errors import BudgetExceededError, InvalidParamsError, PercLabError
+from .errors import BudgetExceededError, PercLabError
 from .estimators import (
     CSV_COLUMNS,
     QUANTITY_BOXDIM,
@@ -328,6 +328,22 @@ def _pick_format(cfg: dict, spec: _Command) -> str:
     return fmt
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that is a directory or lies in a missing one, before any work.
+
+    The message is the one :func:`_atomic_write` gives when the write
+    fails that way; it keeps its own handling for a target that changes
+    in between.
+    """
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _emit(cfg: dict, fmt: str, payload) -> None:
     """Write a runner's payload in ``fmt``, atomically to ``--out`` or to stdout."""
     if fmt == "pgm":
@@ -390,15 +406,11 @@ def _run_generate(cfg: dict, fmt: str):
 def _run_render(cfg: dict, fmt: str):
     params = build_params(cfg)
     level = params.depth if cfg["level"] is None else cfg["level"]
-    if not 0 <= level <= params.depth:
-        raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
-    side = raster_side(params.n, params.m, level)  # before any cell is sampled
-    # deeper levels draw later in the stream, so generating only to this one
-    # gives the same bytes at any depth; the realization is dropped once its
-    # level is rasterized
-    shallow = dataclasses.replace(params, depth=max(level, 1))
-    pgm = pgm_bytes(render_raster(generate(shallow, stream=cfg["stream"]), level))
-    return (pgm, side), f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
+    # render_level checks the level and the raster side before it samples
+    # anything, and stores the levels above the rendered one only
+    grid = render_level(params, level, stream=cfg["stream"])
+    side = grid.shape[0]
+    return (pgm_bytes(grid), side), f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
 
 
 def _run_estimate(estimate: Callable, cfg: dict, fmt: str):
@@ -497,6 +509,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         spec = _COMMANDS[cfg["command"]]
         fmt = _pick_format(cfg, spec)
+        if cfg["out"]:
+            _check_out(cfg["out"])
         payload, summary = spec.run(cfg, fmt)
         _emit(cfg, fmt, payload)
     except ConfigError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,31 +304,40 @@ def _unpack(key: np.ndarray, side: np.uint64, n: int) -> np.ndarray:
     return cells
 
 
-def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
-    """Sorted keys at ``side`` of the ``kept`` children that ``keep`` selects.
+def _kept_children(parents, block, m, side, keep):
+    """Yield the keys at ``side`` of the children ``keep`` selects, chunk by chunk.
 
     ``parents`` are the previous level's sorted keys (at side // m).  The
     candidates are built in draw order (parents in sorted order, children in
     digit order) about _CHUNK at a time: a chunk of parents is decoded, and
     a child's key is m * (its parent's key at this side) plus its digit
-    offset's key.  Each chunk's kept keys go straight into the one array of
-    ``kept`` keys, which is then sorted in place, so beyond the mask a level
-    costs 8 bytes per kept cell plus one chunk.
+    offset's key.  Each chunk yields its kept keys in draw order, so a
+    consumer holds at most one chunk of candidates beyond the mask.
     """
     n, mn = block.shape[1], block.shape[0]
     side64 = np.uint64(side)
     parent_side = np.uint64(side // m)
     offsets = _pack(block, side64)
-    out = np.empty(kept, dtype=np.uint64)
     step = max(1, _CHUNK // mn)
-    pos = 0
     for lo in range(0, parents.shape[0], step):
         base = _pack(_unpack(parents[lo : lo + step], parent_side, n), side64)
         base *= np.uint64(m)
-        chosen = (base[:, None] + offsets).reshape(-1)[keep[lo * mn : (lo + base.shape[0]) * mn]]
+        yield (base[:, None] + offsets).reshape(-1)[keep[lo * mn : (lo + base.shape[0]) * mn]]
+
+
+def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
+    """Sorted keys at ``side`` of the ``kept`` children that ``keep`` selects.
+
+    The chunks of :func:`_kept_children` go straight into one array of
+    ``kept`` keys, which is then sorted in place, so beyond the mask a level
+    costs 8 bytes per kept cell plus one chunk.
+    """
+    out = np.empty(kept, dtype=np.uint64)
+    pos = 0
+    for chosen in _kept_children(parents, block, m, side, keep):
         out[pos : pos + chosen.shape[0]] = chosen
         pos += chosen.shape[0]
-    if n > 1:
+    if block.shape[1] > 1:
         out.sort()  # keys are unique, so stability is moot
     return out
 
@@ -391,6 +400,19 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
     keys would pass 64 bits, and a stream outside [0, 2^64) raise
     InvalidParamsError before any draw.
     """
+    cells = _sample_cells(params, stream)
+    cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
+    return Realization._of_cells(params, cells, stream)
+
+
+def _sample_cells(params: PercolationParams, stream: int, raster: np.ndarray | None = None):
+    """Sorted keys of levels 0, 1, ... of one realization, up to its last live level.
+
+    Each level is drawn through :func:`_draw_levels` and built from the one
+    above by :func:`_next_level_packed`.  Given the flat buffer of a level-K
+    raster, level K is not stored: each chunk of its kept keys is set in
+    ``raster`` as it is expanded, and only the levels above it are returned.
+    """
     _check_stream(stream)
     _check_key_width(params)
     m, n = params.m, params.n
@@ -399,9 +421,12 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
         if k == 1:
             # only now that m^n candidates passed the budget: m^n may be ~2^63
             block = _digit_block(m, n)
-        cells.append(_next_level_packed(cells[-1], block, m, m**k, keep, kept))
-    cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
-    return Realization._of_cells(params, cells, stream)
+        if k == params.depth and raster is not None:
+            for chosen in _kept_children(cells[-1], block, m, m**k, keep):
+                _scatter(raster, chosen)
+        else:
+            cells.append(_next_level_packed(cells[-1], block, m, m**k, keep, kept))
+    return cells
 
 
 def level_probs(params: PercolationParams) -> tuple[float, ...]:
@@ -467,16 +492,50 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
 
     Row 0 is the top of the image, i.e. the cells with maximal second
     coordinate; columns follow the first coordinate.  The grid is a
-    flipped, transposed view, not a C-ordered array.
+    flipped, transposed view, not a C-ordered array.  The level's stored
+    keys are set by the same :func:`_scatter` that :func:`render_level`
+    applies to the chunks it expands.
     """
     params = realization.params
     if not 0 <= k <= params.depth:
         raise InvalidParamsError(f"level {k} outside [0, {params.depth}]")
     side = raster_side(params.n, params.m, k)
+    flat = np.zeros(side * side, dtype=np.uint8)
+    _scatter(flat, realization._cells[k])
+    return _image(flat, side)
+
+
+def render_level(params: PercolationParams, level: int, stream: int = 0) -> np.ndarray:
+    """The grid ``render_raster(generate(params cut to depth level, stream), level)``.
+
+    Deeper levels draw later in the stream, so the grid does not depend on
+    ``params.depth`` past ``level``.  Levels 1..level-1 are drawn and stored
+    as :func:`generate` builds them, with the same words and the same budget
+    and prefix errors at the same level; the rendered level is never
+    stored or sorted, each chunk of its kept keys is set in the raster as it
+    is expanded.  Level 0 is the root pixel and draws nothing.  The level
+    and the raster side are checked before any draw.
+    """
+    if not 0 <= level <= params.depth:
+        raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
+    side = raster_side(params.n, params.m, level)
+    _check_stream(stream)
+    flat = np.zeros(side * side, dtype=np.uint8)
+    if level:
+        _sample_cells(replace(params, depth=level), stream, raster=flat)
+    else:
+        flat[0] = 1  # the root cell
+    return _image(flat, side)
+
+
+def _scatter(flat: np.ndarray, keys: np.ndarray) -> None:
     # the key x * side + y is the flat index of cell (x, y) in the transposed
     # grid; keys stay below 2^24, so their int64 view is exact
-    flat = np.zeros(side * side, dtype=np.uint8)
-    flat[realization._cells[k].view(np.intp)] = 1
+    flat[keys.view(np.intp)] = 1
+
+
+def _image(flat: np.ndarray, side: int) -> np.ndarray:
+    # row 0 at the top: the flat buffer, transposed and flipped
     return flat.reshape(side, side).T[::-1]
 
 

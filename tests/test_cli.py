@@ -199,13 +199,15 @@ def test_render_generates_only_to_its_level(tmp_path, capsys):
 
 
 def test_render_level_zero_is_one_pixel(tmp_path, capsys):
-    out_path = tmp_path / "l0.pgm"
-    rc, _, _ = run(
-        capsys, "render", "--family", "mfp", "--p", "0.9", "--n", "2", "--m", "2",
-        "--depth", "40", "--level", "0", "--out", str(out_path),
-    )
-    assert rc == 0
-    assert out_path.read_bytes() == b"P5\n1 1\n255\n\xff"
+    # level 0 draws nothing, so no budget can refuse it
+    for extra in ((), ("--budget", "1")):
+        out_path = tmp_path / f"l0-{len(extra)}.pgm"
+        rc, _, _ = run(
+            capsys, "render", "--family", "mfp", "--p", "0.9", "--n", "2", "--m", "2",
+            "--depth", "40", "--level", "0", *extra, "--out", str(out_path),
+        )
+        assert rc == 0
+        assert out_path.read_bytes() == b"P5\n1 1\n255\n\xff"
 
 
 @pytest.mark.parametrize(
@@ -220,7 +222,7 @@ def test_render_rejects_the_raster_before_sampling(tmp_path, capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("render sampled a realization it cannot draw")
 
-    monkeypatch.setattr("perclab.cli.generate", refuse)
+    monkeypatch.setattr("perclab.engine._draw_levels", refuse)
     rc, out, err = run(capsys, "render", "--family", "mfp", "--p", "0.95", "--m", "2", *shape,
                        "--seed", "1", "--out", str(tmp_path / "x.pgm"))
     assert rc == 3 and out == ""
@@ -576,9 +578,16 @@ def test_budget_error_exit_4(capsys):
     ids=["json", "pgm", "ledger"],
 )
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
-    # a write that fails is one ConfigError line, not a traceback, and
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, target):
+    # an --out that cannot be written is one ConfigError line, not a
+    # traceback, found before any params are built or cells sampled, and
     # leaves no temp file behind
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked before the --out check")
+
+    monkeypatch.setattr("perclab.cli.build_seq", refuse)  # under build_params too
+    monkeypatch.setattr("perclab.cli.build_witness", refuse)
+    monkeypatch.setattr("perclab.engine._draw_levels", refuse)
     (tmp_path / "sub").mkdir()
     out_path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path / "sub"
     rc, out, err = run(capsys, *argv, "--out", str(out_path))
@@ -604,7 +613,7 @@ def test_refused_format_exits_2_before_any_work(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the format was checked")
 
-    monkeypatch.setattr("perclab.cli.generate", refuse)
+    monkeypatch.setattr("perclab.engine._draw_levels", refuse)
     assert_config_error(*run(capsys, *argv))
 
 

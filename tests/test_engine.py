@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from perclab import (
     pgm_bytes,
     realization_from_dict,
     realization_to_dict,
+    render_level,
     render_raster,
     sample_counts,
 )
@@ -587,23 +589,40 @@ def test_level_count_other_than_depth_plus_one_rejected():
         realization_from_dict({**realization_to_dict(generate(params)), "levels": [[[0, 0]], [[0, 1]]]})
 
 
-def test_generate_peak_memory_per_level_k_cell():
-    # render-large's shape: the packed store holds a level as 8 B keys and
-    # builds it from 1 B of mask per candidate plus one chunk, where
-    # coordinate columns next to the keys took ~33 B per level-K cell
-    params = PercolationParams(2, 2, 12, ProbSequence.mfp(0.95), seed=0)
+def _traced_peak(fn):
+    """fn's result and the peak of the memory it traced beyond what was held before."""
     outer = tracemalloc.is_tracing()
     if not outer:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        r = generate(params)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not outer:
             tracemalloc.stop()
+
+
+def test_generate_peak_memory_per_level_k_cell():
+    # render-large's shape: the packed store holds a level as 8 B keys and
+    # builds it from 1 B of mask per candidate plus one chunk, where
+    # coordinate columns next to the keys took ~33 B per level-K cell
+    params = PercolationParams(2, 2, 12, ProbSequence.mfp(0.95), seed=0)
+    r, peak = _traced_peak(lambda: generate(params))
     assert peak < 16 * r.counts[12]
+
+
+def test_render_level_peak_memory_holds_no_level_k_keys():
+    # render-large's shape: the levels above the rendered one as 8 B keys,
+    # the rendered level's keep mask (1 B per candidate), the raster (1 B per
+    # pixel) and a few chunks of candidates; no 8 B per level-K cell
+    params = PercolationParams(2, 2, 12, ProbSequence.mfp(0.95), seed=0)
+    counts = sample_counts(params)
+    grid, peak = _traced_peak(lambda: render_level(params, 12))
+    assert np.count_nonzero(grid) == counts[12]
+    bound = 8 * sum(counts[:12]) + 4 * counts[11] + 4**12 + 48 * engine._CHUNK
+    assert peak < bound < 8 * counts[12]
 
 
 # -- budget and parameter validation ----------------------------------------------
@@ -699,6 +718,128 @@ def test_pgm_header_for_larger_raster():
     data = pgm_bytes(render_raster(r, 3))
     assert data.startswith(b"P5\n8 8\n255\n")
     assert len(data) == len(b"P5\n8 8\n255\n") + 64
+
+
+# -- render_level: the rendered level straight into the raster ----------------------
+
+
+def _reference_render(params, level, stream=0):
+    """The grid of ``render_level``: the realization cut to ``level``, rasterized."""
+    return render_raster(generate(replace(params, depth=max(level, 1)), stream), level)
+
+
+RENDER_CASES = [
+    (2, 6, ProbSequence.mfp(0.85), 3, 0),
+    (3, 4, ProbSequence.mfp(0.8), 5, 2),
+    (2, 5, ProbSequence.mfp(1e-12), 3, 0),
+    (2, 5, FULL, 0, 0),
+    (2, 6, ProbSequence.power_telescope(0.7, 0.5), 8, 1),
+    (3, 4, ProbSequence.explicit([0.6, 0.8], tail=0.9), 2, 0),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize(
+    "m, depth, seq, seed, stream", RENDER_CASES,
+    ids=["m2", "m3", "extinct", "p1", "telescope", "explicit-tail"],
+)
+def test_render_level_matches_the_rendered_realization(monkeypatch, chunk, m, depth, seq, seed, stream):
+    # a chunk of 7 candidates splits every rendered level past level 1 into
+    # many chunks, mid-parent whenever 7 is not a multiple of m^2
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    params = PercolationParams(2, m, depth, seq, seed=seed)
+    counts = sample_counts(params, stream)
+    for level in (0, 1, depth - 2, depth):
+        got = render_level(params, level, stream)
+        want = _reference_render(params, level, stream)
+        assert got.shape == want.shape == (m**level, m**level)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(got) == counts[level]
+    if seq.p_at(1) > 0.5:
+        assert counts[depth] > 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seq=st.one_of(catalog_seqs(), explicit_tail_seqs()),
+    m=st.integers(2, 3),
+    depth_level=st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    budget=st.integers(1, 4000),
+)
+def test_render_level_outcome_matches_the_reference(seq, m, depth_level, seed, stream, budget):
+    # grid, budget error (level, count, budget) or prefix error, whichever the reference gives
+    depth, level = depth_level
+    params = PercolationParams(2, m, depth, seq, seed=seed, cell_budget=budget)
+    want = _outcome(lambda: _reference_render(params, level, stream).tolist())
+    assert _outcome(lambda: render_level(params, level, stream).tolist()) == want
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_render_level_budget_error_matches_generate(level):
+    # level 2's 16 candidates pass the budget of 10: rendered at level 2, stored at 3
+    params = _params(n=2, m=2, depth=4, budget=10)
+    with pytest.raises(BudgetExceededError) as want:
+        generate(replace(params, depth=level))
+    with pytest.raises(BudgetExceededError) as got:
+        render_level(params, level)
+    fields = (got.value.level, got.value.count, got.value.budget)
+    assert fields == (want.value.level, want.value.count, want.value.budget) == (2, 16, 10)
+    assert render_level(params, 1).tolist() == [[1, 1], [1, 1]]
+
+
+def test_render_level_zero_draws_nothing(monkeypatch):
+    # the level-0 raster is the root pixel, whatever the budget or the stream's cells
+    def refuse(*args, **kwargs):
+        raise AssertionError("level 0 drew a level")
+
+    monkeypatch.setattr(engine, "_draw_levels", refuse)
+    assert render_level(_params(n=2, m=2, depth=3, budget=1), 0).tolist() == [[1]]
+
+
+def test_render_level_tailless_prefix_error_matches_generate():
+    params = _params(n=2, m=2, depth=5, seq=ProbSequence.explicit([0.9, 0.9]), seed=1)
+    assert sample_counts(replace(params, depth=2))[2] > 0  # level 3 is reached alive
+    for level in (3, 4):
+        with pytest.raises(InvalidParamsError) as want:
+            generate(replace(params, depth=level))
+        with pytest.raises(InvalidParamsError) as got:
+            render_level(params, level)
+        assert str(got.value) == str(want.value)
+    assert np.array_equal(render_level(params, 2), _reference_render(params, 2))
+
+
+@pytest.mark.parametrize("level", [1, 2, 5])
+def test_render_level_never_stores_the_rendered_level(monkeypatch, level):
+    stored = []
+    build = engine._next_level_packed
+
+    def counted(*args):
+        stored.append(args[3])  # the level's side
+        return build(*args)
+
+    monkeypatch.setattr(engine, "_next_level_packed", counted)
+    grid = render_level(_params(n=2, m=2, depth=6), level)  # every cell lives
+    assert stored == [2**k for k in range(1, level)]
+    assert grid.all()
+
+
+def test_render_level_checks_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before the checks")
+
+    monkeypatch.setattr(engine, "_draw_levels", refuse)
+    with pytest.raises(InvalidParamsError, match=r"level 4 outside \[0, 3\]"):
+        render_level(_params(n=2, m=2, depth=3), 4)
+    with pytest.raises(RasterTooLargeError):
+        render_level(_params(n=2, m=2, depth=13), 13)
+    with pytest.raises(UnsupportedDimensionError):
+        render_level(_params(n=3, m=2, depth=2), 2)
+    with pytest.raises(InvalidParamsError, match="stream"):
+        render_level(_params(n=2, m=2, depth=3), 3, stream=2**64)
 
 
 # -- serialization ------------------------------------------------------------------
