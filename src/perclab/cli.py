@@ -35,9 +35,9 @@ from .dimensions import full_report
 from .engine import (
     DEFAULT_CELL_BUDGET,
     PercolationParams,
+    _pgm_chunks,
     derive_seed,
     generate,
-    pgm_bytes,
     realization_to_dict,
     render_level,
 )
@@ -287,14 +287,18 @@ def _family_label(cfg: dict) -> tuple[str, str]:
 # output: the format is picked before any work, and one emitter writes it
 
 
-def _atomic_write(path: str, data: bytes):
-    """Temp file in the target directory, then rename; a failed write is a config error."""
+def _atomic_write(path: str, chunks):
+    """Write an iterable of byte chunks to a temp file in the target directory, then rename.
+
+    A failed write is a config error.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".perclab-tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -347,8 +351,8 @@ def _check_out(path: str) -> None:
 def _emit(cfg: dict, fmt: str, payload) -> None:
     """Write a runner's payload in ``fmt``, atomically to ``--out`` or to stdout."""
     if fmt == "pgm":
-        pgm, side = payload
-        _atomic_write(cfg["out"], pgm)
+        side = payload.shape[0]
+        _atomic_write(cfg["out"], _pgm_chunks(payload))
         # provenance for the binary output goes to stdout instead of the file
         doc = _doc(cfg, {"out": cfg["out"], "width": side, "height": side})
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -362,7 +366,7 @@ def _emit(cfg: dict, fmt: str, payload) -> None:
         text = payload
     text += "\n"
     if cfg["out"]:
-        _atomic_write(cfg["out"], text.encode("utf-8"))
+        _atomic_write(cfg["out"], [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
 
@@ -407,10 +411,10 @@ def _run_render(cfg: dict, fmt: str):
     params = build_params(cfg)
     level = params.depth if cfg["level"] is None else cfg["level"]
     # render_level checks the level and the raster side before it samples
-    # anything, and stores the levels above the rendered one only
+    # anything; _emit streams the grid's PGM to --out block by block
     grid = render_level(params, level, stream=cfg["stream"])
     side = grid.shape[0]
-    return (pgm_bytes(grid), side), f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
+    return grid, f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
 
 
 def _run_estimate(estimate: Callable, cfg: dict, fmt: str):

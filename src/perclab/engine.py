@@ -5,6 +5,8 @@ retaining each child of a surviving parent independently with probability
 p_k at round k, down to a finite depth K.  Only surviving cells are stored,
 each level as its sorted row-major uint64 keys (8 bytes per cell), so
 memory tracks the live population and a realization needs m^(nK) <= 2^64.
+A planar render holds each level instead as a 0/1 bitmap of its own side,
+indexed by the same keys, so its memory is bounded by the raster.
 
 Randomness is a Philox-4x64 counter-based stream keyed by (seed, stream);
 one raw 64-bit word is drawn per candidate child in a fixed order (parents
@@ -35,7 +37,7 @@ from .probseq import KIND_EXPLICIT, ProbSequence
 
 DEFAULT_CELL_BUDGET = 1 << 26
 MAX_RASTER_SIDE = 4096
-_PGM_BLOCK = 256  # image columns converted at a time
+_PGM_BLOCK = 256  # side of the image tiles converted at a time
 
 _MASK64 = (1 << 64) - 1
 _COORD_LIMIT = 1 << 63  # per-axis coordinates must stay packable
@@ -304,129 +306,134 @@ def _unpack(key: np.ndarray, side: np.uint64, n: int) -> np.ndarray:
     return cells
 
 
-def _kept_children(parents, block, m, side, keep):
-    """Yield the keys at ``side`` of the children ``keep`` selects, chunk by chunk.
+def _offsets(m: int, n: int, side: int) -> np.ndarray:
+    # each child's key at ``side`` less m * its parent's, in digit order; built
+    # only once a level's candidates passed the budget, as m^n may be ~2^63
+    return _pack(_digit_block(m, n), np.uint64(side))
 
-    ``parents`` are the previous level's sorted keys (at side // m).  The
-    candidates are built in draw order (parents in sorted order, children in
-    digit order) about _CHUNK at a time: a chunk of parents is decoded, and
-    a child's key is m * (its parent's key at this side) plus its digit
-    offset's key.  Each chunk yields its kept keys in draw order, so a
-    consumer holds at most one chunk of candidates beyond the mask.
+
+def _candidates(parents, offsets, m, side, n):
+    """Keys at ``side`` of every child of ``parents`` (keys at side // m), in draw order.
+
+    A child's key is m * (its parent's key at this side) plus its digit
+    offset's key: parents in the given order, children in digit order.
     """
-    n, mn = block.shape[1], block.shape[0]
-    side64 = np.uint64(side)
-    parent_side = np.uint64(side // m)
-    offsets = _pack(block, side64)
-    step = max(1, _CHUNK // mn)
-    for lo in range(0, parents.shape[0], step):
-        base = _pack(_unpack(parents[lo : lo + step], parent_side, n), side64)
-        base *= np.uint64(m)
-        yield (base[:, None] + offsets).reshape(-1)[keep[lo * mn : (lo + base.shape[0]) * mn]]
+    base = _pack(_unpack(parents, np.uint64(side // m), n), np.uint64(side))
+    base *= np.uint64(m)
+    return (base[:, None] + offsets).reshape(-1)
 
 
-def _next_level_packed(parents, block, m, side, keep, kept) -> np.ndarray:
+def _next_level_packed(parents, m, n, side, keep, kept) -> np.ndarray:
     """Sorted keys at ``side`` of the ``kept`` children that ``keep`` selects.
 
-    The chunks of :func:`_kept_children` go straight into one array of
-    ``kept`` keys, which is then sorted in place, so beyond the mask a level
-    costs 8 bytes per kept cell plus one chunk.
+    ``parents`` are the previous level's sorted keys.  Their candidates are
+    built about _CHUNK at a time, and each chunk's kept keys go straight
+    into one array of ``kept`` keys, which is then sorted in place, so
+    beyond the mask a level costs 8 bytes per kept cell plus one chunk.
     """
+    mn = m**n
+    offsets = _offsets(m, n, side)
+    step = max(1, _CHUNK // mn)
     out = np.empty(kept, dtype=np.uint64)
     pos = 0
-    for chosen in _kept_children(parents, block, m, side, keep):
+    for lo in range(0, parents.shape[0], step):
+        chunk = parents[lo : lo + step]
+        chosen = _candidates(chunk, offsets, m, side, n)[keep[lo * mn : (lo + chunk.shape[0]) * mn]]
         out[pos : pos + chosen.shape[0]] = chosen
         pos += chosen.shape[0]
-    if block.shape[1] > 1:
+    if n > 1:
         out.sort()  # keys are unique, so stability is moot
     return out
+
+
+def _keep_mask(bitgen: np.random.Philox, size: int, bound: np.uint64 | None) -> np.ndarray:
+    """Whether each of the next ``size`` raw words of ``bitgen`` is at most ``bound``.
+
+    A None bound (p_k underflowed to 0) keeps nothing and draws nothing.
+    Past one chunk the words are drawn _CHUNK at a time: consecutive draws
+    continue the stream, so the words are the same.
+    """
+    if bound is None:
+        return np.zeros(size, dtype=bool)
+    if size <= _CHUNK:
+        return bitgen.random_raw(size) <= bound
+    keep = np.empty(size, dtype=bool)
+    for lo in range(0, size, _CHUNK):
+        # a chunk's words stay unnamed: freed before the next chunk is drawn
+        np.less_equal(bitgen.random_raw(min(_CHUNK, size - lo)), bound, out=keep[lo : lo + _CHUNK])
+    return keep
+
+
+def _count_kept(k, bitgen, candidates, bound) -> int:
+    # the level drawer of sample_counts: the kept count, no cell
+    return int(np.count_nonzero(_keep_mask(bitgen, candidates, bound)))
 
 
 def _draw_levels(
     params: PercolationParams,
     stream: int,
     probs: tuple[float, ...],
+    draw,
     bitgen: np.random.Philox | None = None,
-):
-    """Yield (keep mask, kept count) for levels 1, 2, ... of one realization.
+) -> list[int]:
+    """Kept counts X_1, X_2, ... of one realization, each level drawn by ``draw``.
 
-    The stream contract of :func:`generate` and :func:`sample_counts`.  Level
-    k has X_{k-1} * m^n candidates, parents in sorted order and children in
-    digit order.  If they would exceed the cell budget, the run aborts with
-    the level and count (conservative on purpose: it also bounds peak
-    memory).  Otherwise one raw 64-bit word per candidate is drawn in that
-    order from ``bitgen`` (a new Philox if None), first re-keyed by
-    :func:`_key_stream` to (seed, stream).  A child is kept iff its word is
-    at most ``_keep_bound(p_k)``, which holds iff u < p_k for the uniform u
-    that numpy's Philox ``next_double`` makes of the word, the variate
-    ``stream_generator(seed, stream).random()`` gives there; so p_k = 1
-    always retains.  A p_k that underflowed to 0 has no bound: its level
-    keeps nothing and draws nothing.  A level past one chunk draws its words
-    _CHUNK at a time: consecutive draws continue the stream, so the words are
-    the same.  Past a tail-less prefix, ``p_at`` raises.  Drawing stops after
-    the first empty level.
+    The stream contract of :func:`generate`, :func:`sample_counts` and
+    :func:`render_level`, and the one place that rules which level is drawn
+    and how.  Level k has X_{k-1} * m^n candidates, parents in sorted order
+    and children in digit order.  If they would exceed the cell budget, the
+    run aborts with the level and count (conservative on purpose: it also
+    bounds peak memory).  Otherwise ``draw(k, bitgen, candidates, bound)``
+    draws one raw 64-bit word per candidate in that order from ``bitgen``
+    (a new Philox if None), first re-keyed by :func:`_key_stream` to (seed,
+    stream), keeps a child iff :func:`_keep_mask` does, and returns the kept
+    count.  ``bound`` is ``_keep_bound(p_k)``: a word is at most it iff
+    u < p_k for the uniform u that numpy's Philox ``next_double`` makes of
+    the word, the variate ``stream_generator(seed, stream).random()`` gives
+    there; so p_k = 1 always retains.  A p_k that underflowed to 0 has no
+    bound: its level keeps nothing and draws nothing.  Past a tail-less
+    prefix, ``p_at`` raises.  Drawing stops after the first empty level.
     """
     bitgen = _key_stream(np.random.Philox() if bitgen is None else bitgen, params.seed, stream)
     mn = params.m**params.n
+    counts = []
     kept = 1
     for k in range(1, params.depth + 1):
         candidates = kept * mn
         if candidates > params.cell_budget:
             raise BudgetExceededError(k, candidates, params.cell_budget)
         bound = _keep_bound(probs[k - 1] if k <= len(probs) else params.seq.p_at(k))
-        if bound is None:
-            keep = np.zeros(candidates, dtype=bool)
-        elif candidates <= _CHUNK:
-            keep = bitgen.random_raw(candidates) <= bound
-        else:
-            keep = np.empty(candidates, dtype=bool)
-            for lo in range(0, candidates, _CHUNK):
-                # a chunk's words stay unnamed: freed before the next chunk is drawn
-                size = min(_CHUNK, candidates - lo)
-                np.less_equal(bitgen.random_raw(size), bound, out=keep[lo : lo + _CHUNK])
-        kept = int(np.count_nonzero(keep))
-        yield keep, kept
+        kept = draw(k, bitgen, candidates, bound)
+        counts.append(kept)
         if kept == 0:
-            return
+            break
+    return counts
 
 
 def generate(params: PercolationParams, stream: int = 0) -> Realization:
     """Sample one realization level by level, drawing through :func:`_draw_levels`.
 
     Each level is ordered through one row-major uint64 key per cell,
-    sum_a X_a * (m^k)^(n-1-a): children are expanded as keys in chunks,
-    selected into one array and sorted in place with ``ndarray.sort``; the
-    level is kept as those keys.  Params with m^(nK) > 2^64, whose deepest
-    keys would pass 64 bits, and a stream outside [0, 2^64) raise
-    InvalidParamsError before any draw.
-    """
-    cells = _sample_cells(params, stream)
-    cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
-    return Realization._of_cells(params, cells, stream)
-
-
-def _sample_cells(params: PercolationParams, stream: int, raster: np.ndarray | None = None):
-    """Sorted keys of levels 0, 1, ... of one realization, up to its last live level.
-
-    Each level is drawn through :func:`_draw_levels` and built from the one
-    above by :func:`_next_level_packed`.  Given the flat buffer of a level-K
-    raster, level K is not stored: each chunk of its kept keys is set in
-    ``raster`` as it is expanded, and only the levels above it are returned.
+    sum_a X_a * (m^k)^(n-1-a): its whole keep mask is drawn, then children
+    are expanded as keys in chunks, selected into one array and sorted in
+    place with ``ndarray.sort``; the level is kept as those keys.  Params
+    with m^(nK) > 2^64, whose deepest keys would pass 64 bits, and a stream
+    outside [0, 2^64) raise InvalidParamsError before any draw.
     """
     _check_stream(stream)
     _check_key_width(params)
     m, n = params.m, params.n
-    cells: list[np.ndarray] = [np.zeros(1, dtype=np.uint64)]
-    for k, (keep, kept) in enumerate(_draw_levels(params, stream, level_probs(params)), 1):
-        if k == 1:
-            # only now that m^n candidates passed the budget: m^n may be ~2^63
-            block = _digit_block(m, n)
-        if k == params.depth and raster is not None:
-            for chosen in _kept_children(cells[-1], block, m, m**k, keep):
-                _scatter(raster, chosen)
-        else:
-            cells.append(_next_level_packed(cells[-1], block, m, m**k, keep, kept))
-    return cells
+    cells = [np.zeros(1, dtype=np.uint64)]
+
+    def next_level(k, bitgen, candidates, bound):
+        keep = _keep_mask(bitgen, candidates, bound)
+        kept = int(np.count_nonzero(keep))
+        cells.append(_next_level_packed(cells[-1], m, n, m**k, keep, kept))
+        return kept
+
+    _draw_levels(params, stream, level_probs(params), next_level)
+    cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
+    return Realization._of_cells(params, cells, stream)
 
 
 def level_probs(params: PercolationParams) -> tuple[float, ...]:
@@ -463,7 +470,7 @@ def sample_counts(
     if probs is None:
         probs = level_probs(params)
     counts = [1]
-    counts.extend(kept for _, kept in _draw_levels(params, stream, probs, bitgen))
+    counts.extend(_draw_levels(params, stream, probs, _count_kept, bitgen))
     counts.extend([0] * (params.depth + 1 - len(counts)))
     return counts
 
@@ -509,23 +516,57 @@ def render_level(params: PercolationParams, level: int, stream: int = 0) -> np.n
     """The grid ``render_raster(generate(params cut to depth level, stream), level)``.
 
     Deeper levels draw later in the stream, so the grid does not depend on
-    ``params.depth`` past ``level``.  Levels 1..level-1 are drawn and stored
-    as :func:`generate` builds them, with the same words and the same budget
-    and prefix errors at the same level; the rendered level is never
-    stored or sorted, each chunk of its kept keys is set in the raster as it
-    is expanded.  Level 0 is the root pixel and draws nothing.  The level
-    and the raster side are checked before any draw.
+    ``params.depth`` past ``level``.  Every level is drawn through
+    :func:`_draw_levels`, with the words :func:`generate` draws and the same
+    budget and prefix errors at the same level, but is held as a 0/1 bitmap
+    of its own side m^k, not as keys: a cell's flat index is its row-major
+    key, and the level-``level`` bitmap is the raster.  Each level is built
+    from the one above by :func:`_next_bitmap`, and only those two are held,
+    so render peaks at the raster plus 1/m^2 of it plus a few chunks,
+    whatever the cell counts.  Level 0 is the root pixel and draws nothing.
+    The level and the raster side are checked before any draw.
     """
     if not 0 <= level <= params.depth:
         raise InvalidParamsError(f"level {level} outside [0, {params.depth}]")
     side = raster_side(params.n, params.m, level)
     _check_stream(stream)
-    flat = np.zeros(side * side, dtype=np.uint8)
+    flat = np.ones(1, dtype=np.uint8)  # level 0: the root cell
+
+    def next_level(k, bitgen, candidates, bound):
+        nonlocal flat
+        flat, kept = _next_bitmap(flat, params.m, params.m**k, bitgen, bound)
+        return kept
+
     if level:
-        _sample_cells(replace(params, depth=level), stream, raster=flat)
-    else:
-        flat[0] = 1  # the root cell
+        cut = replace(params, depth=level)
+        _draw_levels(cut, stream, level_probs(cut), next_level)
+    if flat.shape[0] < side * side:  # extinct above the rendered level
+        flat = np.zeros(side * side, dtype=np.uint8)
     return _image(flat, side)
+
+
+def _next_bitmap(parents, m, side, bitgen, bound):
+    """The level bitmap at ``side`` under the level bitmap ``parents``, and its cell count.
+
+    ``parents`` is scanned in slices of at most _CHUNK // m^2 cells.  A
+    slice's nonzero indices are its parents' keys in sorted order, so each
+    slice's words are drawn in lockstep with its expansion, continuing the
+    stream, and its kept children are set in the new bitmap: no level is
+    sorted and no whole-level mask or key array is built.
+    """
+    child = np.zeros(side * side, dtype=np.uint8)
+    offsets = _offsets(m, 2, side)
+    step = max(1, _CHUNK // (m * m))
+    kept = 0
+    for lo in range(0, parents.shape[0], step):
+        keys = np.flatnonzero(parents[lo : lo + step]).view(np.uint64)
+        if keys.shape[0]:
+            keys += np.uint64(lo)
+            keep = _keep_mask(bitgen, keys.shape[0] * m * m, bound)
+            chosen = _candidates(keys, offsets, m, side, 2)[keep]
+            _scatter(child, chosen)
+            kept += chosen.shape[0]
+    return child, kept
 
 
 def _scatter(flat: np.ndarray, keys: np.ndarray) -> None:
@@ -543,20 +584,31 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
     """Binary PGM (P5, maxval 255): vacant (zero) 0, occupied (nonzero) 255.
 
     Header is exactly ``P5\\n<w> <h>\\n255\\n`` so outputs are byte-stable.
+    The bytes are the chunks of :func:`_pgm_chunks` joined.
+    """
+    return b"".join(_pgm_chunks(grid))
+
+
+def _pgm_chunks(grid: np.ndarray):
+    """Yield the PGM of ``grid``: its header, then its image in blocks of _PGM_BLOCK rows.
+
+    Each block is a new C-ordered array of 0/255 bytes, so a writer holds
+    one block beyond the grid, and a consumer may keep every block.
     """
     if len(grid.shape) != 2:
         raise InvalidParamsError("grid must be 2-D")
     h, w = grid.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    # the C-ordered image is built once, as 0/1 bytes, and scaled in place;
-    # column blocks keep both a transposed grid's reads and the image's
-    # writes within cache
-    image = np.empty((h, w), dtype=np.uint8)
-    for lo in range(0, w, _PGM_BLOCK):
-        cols = slice(lo, lo + _PGM_BLOCK)
-        np.not_equal(grid[:, cols], 0, out=image[:, cols].view(bool))
-    image *= np.uint8(255)
-    return b"".join((header, image))
+    yield f"P5\n{w} {h}\n255\n".encode("ascii")
+    for top in range(0, h, _PGM_BLOCK):
+        rows = grid[top : top + _PGM_BLOCK]
+        block = np.empty(rows.shape, dtype=np.uint8)
+        # square tiles keep both a transposed grid's reads and the block's
+        # writes within cache
+        for lo in range(0, w, _PGM_BLOCK):
+            cols = slice(lo, lo + _PGM_BLOCK)
+            np.not_equal(rows[:, cols], 0, out=block[:, cols].view(bool))
+        block *= np.uint8(255)
+        yield block
 
 
 # ---------------------------------------------------------------------------

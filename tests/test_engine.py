@@ -422,6 +422,19 @@ def test_keep_bound_splits_the_words_at_p(p):
         assert p == 1.0  # every word is kept
 
 
+def _drawn_masks(params, stream, probs, bitgen):
+    """(keep mask, kept count) of each level ``_draw_levels`` draws, masks by ``_keep_mask``."""
+    drawn = []
+
+    def draw(k, bitgen, candidates, bound):
+        keep = engine._keep_mask(bitgen, candidates, bound)
+        drawn.append((keep, int(np.count_nonzero(keep))))
+        return drawn[-1][1]
+
+    assert engine._draw_levels(params, stream, probs, draw, bitgen) == [kept for _, kept in drawn]
+    return drawn
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("p", EDGE_PROBS)
 def test_raw_word_mask_matches_the_uniform_test(monkeypatch, chunk, p):
@@ -431,7 +444,7 @@ def test_raw_word_mask_matches_the_uniform_test(monkeypatch, chunk, p):
     bitgen = np.random.Philox()
     for seed, stream in EDGE_KEYS:
         params = PercolationParams(1, 4099, 1, FULL, seed=seed)
-        [(keep, kept)] = engine._draw_levels(params, stream, (p,), bitgen)
+        [(keep, kept)] = _drawn_masks(params, stream, (p,), bitgen)
         want = engine.stream_generator(seed, stream).random(4099) < p
         assert np.array_equal(keep, want)
         assert kept == int(np.count_nonzero(want))
@@ -498,9 +511,9 @@ def test_chunked_draw_gives_the_same_masks(monkeypatch):
     params = _params(n=2, m=3, depth=5, seq=ProbSequence.mfp(0.7), seed=12)
     probs = level_probs(params)
     bitgen = np.random.Philox()
-    whole = list(engine._draw_levels(params, 0, probs, bitgen))
+    whole = _drawn_masks(params, 0, probs, bitgen)
     monkeypatch.setattr(engine, "_CHUNK", 7)
-    chunked = list(engine._draw_levels(params, 0, probs, bitgen))
+    chunked = _drawn_masks(params, 0, probs, bitgen)
     assert len(whole) == len(chunked) == 5
     assert whole[-1][0].shape[0] > 7  # the last level spans several chunks
     for (a, x), (b, y) in zip(whole, chunked):
@@ -613,16 +626,28 @@ def test_generate_peak_memory_per_level_k_cell():
     assert peak < 16 * r.counts[12]
 
 
-def test_render_level_peak_memory_holds_no_level_k_keys():
-    # render-large's shape: the levels above the rendered one as 8 B keys,
-    # the rendered level's keep mask (1 B per candidate), the raster (1 B per
-    # pixel) and a few chunks of candidates; no 8 B per level-K cell
-    params = PercolationParams(2, 2, 12, ProbSequence.mfp(0.95), seed=0)
+def _assert_render_peak_bounded_by_the_raster(p):
+    # K=12: render holds the raster (1 B per pixel), the level above it as a
+    # bitmap (1 B per cell of side 2^11) and a few chunks of candidates,
+    # whatever X_K is; no 8 B key per cell of any level
+    params = PercolationParams(2, 2, 12, ProbSequence.mfp(p), seed=0)
     counts = sample_counts(params)
     grid, peak = _traced_peak(lambda: render_level(params, 12))
     assert np.count_nonzero(grid) == counts[12]
-    bound = 8 * sum(counts[:12]) + 4 * counts[11] + 4**12 + 48 * engine._CHUNK
+    bound = 4**12 + 4**11 + 40 * engine._CHUNK
     assert peak < bound < 8 * counts[12]
+    return counts
+
+
+def test_render_level_peak_memory_holds_no_level_k_keys():
+    _assert_render_peak_bounded_by_the_raster(0.95)  # render-large's shape
+
+
+def test_render_level_peak_memory_does_not_grow_with_the_cell_count():
+    # fat regime: X_K is ~4^12 (~99.9% of the pixels set), and the same
+    # bound holds
+    counts = _assert_render_peak_bounded_by_the_raster(0.9999)
+    assert counts[12] > 0.99 * 4**12
 
 
 # -- budget and parameter validation ----------------------------------------------
@@ -704,7 +729,7 @@ def test_pgm_maps_every_nonzero_value_to_255():
 
 
 def test_pgm_of_a_strided_grid_matches_its_c_ordered_copy(monkeypatch):
-    monkeypatch.setattr(engine, "_PGM_BLOCK", 3)  # several column blocks
+    monkeypatch.setattr(engine, "_PGM_BLOCK", 3)  # several row blocks, each of several tiles
     grid = np.random.default_rng(5).integers(0, 3, size=(11, 7)).astype(np.uint8)
     view = grid.T[::-1]
     assert pgm_bytes(view) == pgm_bytes(np.ascontiguousarray(view))
@@ -761,9 +786,17 @@ def test_render_level_matches_the_rendered_realization(monkeypatch, chunk, m, de
         assert counts[depth] > 7
 
 
+def tailless_seqs():
+    # defined on its prefix only: a run reaching the level past it alive raises
+    return st.builds(
+        lambda prefix: ProbSequence.explicit(sorted(prefix)),
+        st.lists(st.floats(0.3, 1.0), min_size=1, max_size=4),
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    seq=st.one_of(catalog_seqs(), explicit_tail_seqs()),
+    seq=st.one_of(catalog_seqs(), explicit_tail_seqs(), tailless_seqs()),
     m=st.integers(2, 3),
     depth_level=st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
     seed=st.integers(0, 2**64 - 1),
@@ -791,12 +824,19 @@ def test_render_level_budget_error_matches_generate(level):
     assert render_level(params, 1).tolist() == [[1, 1], [1, 1]]
 
 
+def _refuse_draws(monkeypatch, message):
+    # render enters the level loop through _draw_levels and draws every word
+    # through _keep_mask
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in ("_draw_levels", "_keep_mask"):
+        monkeypatch.setattr(engine, name, refuse)
+
+
 def test_render_level_zero_draws_nothing(monkeypatch):
     # the level-0 raster is the root pixel, whatever the budget or the stream's cells
-    def refuse(*args, **kwargs):
-        raise AssertionError("level 0 drew a level")
-
-    monkeypatch.setattr(engine, "_draw_levels", refuse)
+    _refuse_draws(monkeypatch, "level 0 drew a level")
     assert render_level(_params(n=2, m=2, depth=3, budget=1), 0).tolist() == [[1]]
 
 
@@ -813,25 +853,29 @@ def test_render_level_tailless_prefix_error_matches_generate():
 
 
 @pytest.mark.parametrize("level", [1, 2, 5])
-def test_render_level_never_stores_the_rendered_level(monkeypatch, level):
-    stored = []
-    build = engine._next_level_packed
+def test_render_level_builds_no_key_level(monkeypatch, level):
+    # every level is a bitmap of its own side: no level's keys are
+    # gathered or sorted, and every candidate is expanded from a bitmap slice
+    def refuse(*args, **kwargs):
+        raise AssertionError("render built a key level")
 
-    def counted(*args):
-        stored.append(args[3])  # the level's side
-        return build(*args)
+    monkeypatch.setattr(engine, "_next_level_packed", refuse)
+    built = []
+    bitmap = engine._next_bitmap
 
-    monkeypatch.setattr(engine, "_next_level_packed", counted)
+    def counted(parents, m, side, bitgen, bound):
+        child, kept = bitmap(parents, m, side, bitgen, bound)
+        built.append((parents.dtype, parents.shape[0], child.shape[0]))
+        return child, kept
+
+    monkeypatch.setattr(engine, "_next_bitmap", counted)
     grid = render_level(_params(n=2, m=2, depth=6), level)  # every cell lives
-    assert stored == [2**k for k in range(1, level)]
+    assert built == [(np.uint8, 4 ** (k - 1), 4**k) for k in range(1, level + 1)]
     assert grid.all()
 
 
 def test_render_level_checks_before_drawing(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew before the checks")
-
-    monkeypatch.setattr(engine, "_draw_levels", refuse)
+    _refuse_draws(monkeypatch, "drew before the checks")
     with pytest.raises(InvalidParamsError, match=r"level 4 outside \[0, 3\]"):
         render_level(_params(n=2, m=2, depth=3), 4)
     with pytest.raises(RasterTooLargeError):
@@ -840,6 +884,59 @@ def test_render_level_checks_before_drawing(monkeypatch):
         render_level(_params(n=3, m=2, depth=2), 2)
     with pytest.raises(InvalidParamsError, match="stream"):
         render_level(_params(n=2, m=2, depth=3), 3, stream=2**64)
+
+
+def test_render_level_underflowed_level_draws_nothing(monkeypatch):
+    # p_1 = (1e-200)^2 underflows to 0: level 1 has no bound, keeps nothing
+    # and draws no word, so the raster of any level past it is empty
+    params = _params(n=2, m=2, depth=4, seq=ProbSequence.power_head(1e-200, 2))
+    assert engine._keep_bound(params.seq.p_at(1)) is None
+    drawn = []
+    monkeypatch.setattr(engine, "_keep_mask", _recording(engine._keep_mask, drawn))
+    for level in (1, 3):
+        want = _reference_render(params, level)
+        drawn.clear()
+        got = render_level(params, level)
+        assert np.array_equal(got, want)
+        assert got.shape == (2**level, 2**level) and not got.any()
+        [(bitgen, size, bound)] = drawn
+        assert (size, bound) == (4, None)
+        assert bitgen.state["state"]["counter"].tolist() == [0, 0, 0, 0]  # no word drawn
+
+
+def _recording(fn, calls):
+    def recorded(bitgen, size, bound):
+        calls.append((bitgen, size, bound))
+        return fn(bitgen, size, bound)
+
+    return recorded
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_render_level_extinct_above_the_level_is_an_empty_raster(m):
+    # one cell at level 1, none at level 2: the last bitmap drawn is level
+    # 2's, and the level-4 raster is still of side m^4
+    params = _params(n=2, m=m, depth=5, seq=ProbSequence.mfp(0.1), seed=0)
+    assert sample_counts(params)[:3] == [1, 1, 0]
+    assert np.count_nonzero(render_level(params, 1)) == 1
+    got = render_level(params, 4)
+    assert got.shape == (m**4, m**4) and got.dtype == np.uint8 and not got.any()
+    assert np.array_equal(got, _reference_render(params, 4))
+
+
+def test_render_level_slices_of_one_parent(monkeypatch):
+    # a chunk below m^n = 9 makes every bitmap slice a single cell, so each
+    # expansion sees at most one parent and draws at most m^n words
+    monkeypatch.setattr(engine, "_CHUNK", 5)
+    params = PercolationParams(2, 3, 4, ProbSequence.mfp(0.8), seed=5)
+    drawn = []
+    monkeypatch.setattr(engine, "_keep_mask", _recording(engine._keep_mask, drawn))
+    got = render_level(params, 4)
+    assert {size for _, size, _ in drawn} == {9}
+    assert len(drawn) == sum(sample_counts(params)[:4])
+    monkeypatch.undo()
+    assert np.count_nonzero(got) > 9
+    assert np.array_equal(got, _reference_render(params, 4))
 
 
 # -- serialization ------------------------------------------------------------------
