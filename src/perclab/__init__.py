@@ -7,9 +7,31 @@ set from the probability sequence, samples finite-depth realizations with
 reproducible counter-based randomness, verifies the closed forms with Monte
 Carlo estimators, and assembles witness constructions hitting prescribed
 (dimension, expected measure) targets.
+
+perclab calls no BLAS routine, so it loads numpy with OpenBLAS capped at one
+thread, unless the caller set a BLAS thread count or loaded numpy first, and
+leaves ``os.environ`` as it found it.
 """
 
 __version__ = "0.1.0"
+
+
+def _import_numpy_without_blas_pool() -> None:
+    # OpenBLAS sizes its worker pool once, when numpy loads it; one thread per
+    # CPU would cost ~0.1 s of CPU per process for nothing
+    import os
+    import sys
+
+    chosen = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+    if "numpy" not in sys.modules and not chosen:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy  # noqa: F401
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_without_blas_pool()
 
 from .dimensions import (
     DimensionReport,

@@ -523,6 +523,19 @@ def test_sequence_field_the_family_does_not_read_exit_3(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParamsError"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**preset: str) -> dict:
+    """The environment of a child that imports perclab from ``src``: none of
+    the variables OpenBLAS sizes its thread pool from is set, except ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_capped(cap: int, *argv):
     """Run the CLI in a child whose address space is capped at ``cap`` bytes.
 
@@ -534,11 +547,9 @@ def run_capped(cap: int, *argv):
         "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
         "sys.argv[0] = 'perclab'; runpy.run_module('perclab', run_name='__main__')"
     )
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", capped_main, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", capped_main, *argv], env=child_env(), capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -557,6 +568,84 @@ def test_huge_window_top_rejected_before_the_log_table_is_built():
                       "--method", "windowed", "--window", "64:100000000000")
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
+
+
+# records every write to os.environ made by `import perclab`, then prints
+# them with the BLAS thread variables and the process's thread count
+IMPORT_PROBE = """
+import json, os
+writes = []
+environ = type(os.environ)
+set_item, del_item = environ.__setitem__, environ.__delitem__
+def recording_set(self, key, value):
+    writes.append(["set", key, value])
+    set_item(self, key, value)
+def recording_del(self, key):
+    writes.append(["del", key])
+    del_item(self, key)
+environ.__setitem__, environ.__delitem__ = recording_set, recording_del
+import perclab
+environ.__setitem__, environ.__delitem__ = set_item, del_item
+tasks = "/proc/self/task"
+print(json.dumps({
+    "writes": writes,
+    "vars": {key: os.environ.get(key) for key in %r},
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+""" % (BLAS_THREAD_VARS,)
+
+
+def probe_import(prelude: str = "", **preset: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + IMPORT_PROBE], env=child_env(**preset), capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_starts_no_blas_pool_and_unsets_its_cap():
+    probe = probe_import()
+    assert probe["vars"] == dict.fromkeys(BLAS_THREAD_VARS)
+    assert probe["threads"] in (None, 1)  # None where /proc/self/task is missing
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_keeps_a_caller_chosen_blas_thread_count(var):
+    probe = probe_import(**{var: "2"})
+    assert probe["writes"] == []
+    assert probe["vars"] == {**dict.fromkeys(BLAS_THREAD_VARS), var: "2"}
+
+
+def test_import_after_numpy_leaves_the_environment_untouched():
+    probe = probe_import("import numpy\n")
+    assert probe["writes"] == []
+    assert probe["vars"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--family", "mfp", "--p", "0.7", "--n", "2", "--method", "windowed",
+         "--window", "8:32", "--format", "csv"),
+        ("survival", "--family", "mfp", "--p", "0.8", "--n", "1", "--depth", "6", "--reps", "200",
+         "--seed", "3", "--out", "out.json"),
+        ("render", "--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "5", "--seed", "5",
+         "--out", "out.pgm"),
+    ],
+    ids=["dims", "survival", "render"],
+)
+def test_output_identical_whatever_the_blas_thread_count(tmp_path, argv):
+    outputs = []
+    for preset in ({"OPENBLAS_NUM_THREADS": "2"}, {}):
+        cwd = tmp_path / str(len(outputs))
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "perclab", *argv], env=child_env(**preset), cwd=cwd,
+            capture_output=True, timeout=60, check=True,
+        )
+        outputs.append((proc.stdout, {p.name: p.read_bytes() for p in cwd.iterdir()}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
 
 
 def test_budget_error_exit_4(capsys):
