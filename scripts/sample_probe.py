@@ -1,10 +1,13 @@
-"""Print one repr line per case of the sampling layer and of the estimators.
+"""Print one repr line per case of the sampling layer, the renderer and the estimators.
 
 The sampling grid is fixed: seven geometries (n, m, K), two of them with
 level keys near the 64-bit limit, six sequences (one a tail-less prefix
 shorter than some depths), two cell budgets, the smallest and largest seed,
 and three streams.  Each line gives ``generate``'s level counts with a
-sha256 of its level bytes, and ``sample_counts``' result.  Then, for three
+sha256 of its level bytes, and ``sample_counts``' result.  Then, for the
+planar (n = 2) geometries, every level whose raster side m^k is at most
+4096, and the same sequences, budgets, seeds and streams, one line gives
+the sha256 of ``render_level``'s grid bytes.  Then, for three
 small geometries, the same sequences and both seeds, one line per estimator
 gives its report as a dict: ``measure`` and ``survival`` over 100
 replicates, ``boxdim`` over 10 survivors within 50 attempts each; these
@@ -20,6 +23,7 @@ errors everywhere on the grid.
 import hashlib
 
 from perclab import PercolationParams, ProbSequence, generate, sample_counts
+from perclab.engine import MAX_RASTER_SIDE, render_level
 from perclab.estimators import estimate_boxdim, estimate_measure, estimate_survival
 
 GEOMETRIES = ((1, 2, 20), (2, 2, 10), (2, 3, 7), (3, 3, 5), (3, 2, 7), (2, 10, 9), (3, 4, 10))
@@ -57,6 +61,10 @@ def levels_digest(params, stream):
     return r.counts, h.hexdigest()
 
 
+def grid_digest(params, level, stream):
+    return hashlib.sha256(render_level(params, level, stream).tobytes()).hexdigest()
+
+
 def main():
     for n, m, depth in GEOMETRIES:
         for label, seq in SEQUENCES:
@@ -67,6 +75,19 @@ def main():
                         gen = outcome(lambda: levels_digest(params, stream))
                         counts = outcome(lambda: sample_counts(params, stream))
                         print(repr((n, m, depth, label, budget, seed, stream, gen, counts)))
+    for n, m, depth in GEOMETRIES:
+        if n != 2:
+            continue
+        for level in range(depth + 1):
+            if m**level > MAX_RASTER_SIDE:
+                break
+            for label, seq in SEQUENCES:
+                for budget in BUDGETS:
+                    for seed in SEEDS:
+                        params = PercolationParams(n, m, depth, seq, seed=seed, cell_budget=budget)
+                        for stream in STREAMS:
+                            grid = outcome(lambda: grid_digest(params, level, stream))
+                            print(repr(("render", n, m, depth, level, label, budget, seed, stream, grid)))
     for n, m, depth in ESTIMATOR_GEOMETRIES:
         for label, seq in SEQUENCES:
             for seed in SEEDS:

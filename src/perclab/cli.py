@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import json
 import os
 import struct
@@ -417,8 +416,11 @@ def _run_render(cfg: dict, fmt: str):
     return grid, f"render {cfg['family']} level={level}: {side}x{side} PGM -> {cfg['out']}"
 
 
-def _run_estimate(estimate: Callable, cfg: dict, fmt: str):
+def _run_estimate(cfg: dict, fmt: str):
     """``measure`` and ``survival``: one EstimateReport."""
+    # looked up when the command runs, so a wrapper installed on this module
+    # after import (a tracer's) sees the call
+    estimate = estimate_measure if cfg["command"] == "measure" else estimate_survival
     params = build_params(cfg)
     rep = estimate(params, cfg["replicates"])
     if fmt == "json":
@@ -485,10 +487,8 @@ _COMMANDS = {
     "generate": _Command("sample one realization to JSON", _SIM + ("stream",), ("json",), _run_generate),
     "render": _Command("sample and rasterize one planar realization to PGM", _SIM + ("stream", "level"),
                        ("pgm",), _run_render),
-    "measure": _Command("Monte Carlo expected-measure estimate", _EST, ("json", "csv"),
-                        functools.partial(_run_estimate, estimate_measure)),
-    "survival": _Command("Monte Carlo survival-frequency estimate", _EST, ("json", "csv"),
-                         functools.partial(_run_estimate, estimate_survival)),
+    "measure": _Command("Monte Carlo expected-measure estimate", _EST, ("json", "csv"), _run_estimate),
+    "survival": _Command("Monte Carlo survival-frequency estimate", _EST, ("json", "csv"), _run_estimate),
     "boxdim": _Command("box-counting slope over surviving replicates", _EST + _BOX, ("json", "csv"), _run_boxdim),
     "witness": _Command("build a (dimension, measure) witness report",
                         ("n", "m", "r", "l", "case", "terms", "ledger"), ("json",), _run_witness),

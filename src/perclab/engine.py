@@ -6,7 +6,9 @@ p_k at round k, down to a finite depth K.  Only surviving cells are stored,
 each level as its sorted row-major uint64 keys (8 bytes per cell), so
 memory tracks the live population and a realization needs m^(nK) <= 2^64.
 A planar render holds each level instead as a 0/1 bitmap of its own side,
-indexed by the same keys, so its memory is bounded by the raster.
+indexed by the same keys, so its memory is bounded by the raster; it
+expands a level by writing each parent's children through strided views of
+the bitmaps, and builds no key.
 
 Randomness is a Philox-4x64 counter-based stream keyed by (seed, stream);
 one raw 64-bit word is drawn per candidate child in a fixed order (parents
@@ -499,16 +501,16 @@ def render_raster(realization: Realization, k: int) -> np.ndarray:
 
     Row 0 is the top of the image, i.e. the cells with maximal second
     coordinate; columns follow the first coordinate.  The grid is a
-    flipped, transposed view, not a C-ordered array.  The level's stored
-    keys are set by the same :func:`_scatter` that :func:`render_level`
-    applies to the chunks it expands.
+    flipped, transposed view, not a C-ordered array.
     """
     params = realization.params
     if not 0 <= k <= params.depth:
         raise InvalidParamsError(f"level {k} outside [0, {params.depth}]")
     side = raster_side(params.n, params.m, k)
     flat = np.zeros(side * side, dtype=np.uint8)
-    _scatter(flat, realization._cells[k])
+    # the key x * side + y is the flat index of cell (x, y) in the transposed
+    # grid; keys stay below 2^24, so their int64 view is exact
+    flat[realization._cells[k].view(np.intp)] = 1
     return _image(flat, side)
 
 
@@ -521,8 +523,10 @@ def render_level(params: PercolationParams, level: int, stream: int = 0) -> np.n
     budget and prefix errors at the same level, but is held as a 0/1 bitmap
     of its own side m^k, not as keys: a cell's flat index is its row-major
     key, and the level-``level`` bitmap is the raster.  Each level is built
-    from the one above by :func:`_next_bitmap`, and only those two are held,
-    so render peaks at the raster plus 1/m^2 of it plus a few chunks,
+    from the one above by :func:`_next_bitmap`, which writes every kept
+    child straight to its pixel through strided views of the two bitmaps,
+    so no cell's key is ever built.  Only those two bitmaps are held, so
+    render peaks at the raster plus 1/m^2 of it plus a few chunks,
     whatever the cell counts.  Level 0 is the root pixel and draws nothing.
     The level and the raster side are checked before any draw.
     """
@@ -548,31 +552,40 @@ def render_level(params: PercolationParams, level: int, stream: int = 0) -> np.n
 def _next_bitmap(parents, m, side, bitgen, bound):
     """The level bitmap at ``side`` under the level bitmap ``parents``, and its cell count.
 
-    ``parents`` is scanned in slices of at most _CHUNK // m^2 cells.  A
-    slice's nonzero indices are its parents' keys in sorted order, so each
-    slice's words are drawn in lockstep with its expansion, continuing the
-    stream, and its kept children are set in the new bitmap: no level is
-    sorted and no whole-level mask or key array is built.
+    Both bitmaps are viewed as square grids, cell (x, y) at row x and
+    column y, so a parent's m^2 children fill the m x m block at rows
+    m*x .. m*x+m-1 and columns m*y .. m*y+m-1.  ``parents`` is scanned in
+    key order in slices of at most _CHUNK // m^2 cells: whole rows when a
+    row fits in one slice, pieces of one row when it does not.  A slice
+    draws m^2 words per live parent, continuing the stream: its mask is
+    (live, m, m), parents in key order and digits (dx, dy) in digit order.
+    The m digits dy of one child row dx are m adjacent bytes in both the
+    mask and the new bitmap, so each is moved as one m-byte item: for each
+    dx, one boolean assignment through the slice's live cells into rows
+    dx, dx + m, ... of the slice's band of the new bitmap.  That assignment
+    follows the cells' C order, which is the parents' key order, so every
+    word lands on the pixel its child's key names, and no key is built.
     """
+    top = side // m  # the parents' side
+    above = parents.view(bool).reshape(top, top)
     child = np.zeros(side * side, dtype=np.uint8)
-    offsets = _offsets(m, 2, side)
+    run = np.dtype((np.void, m))  # one child row of one parent: m bytes
+    runs = child.view(run).reshape(side, top)
     step = max(1, _CHUNK // (m * m))
+    rows, width = max(1, step // top), min(step, top)
     kept = 0
-    for lo in range(0, parents.shape[0], step):
-        keys = np.flatnonzero(parents[lo : lo + step]).view(np.uint64)
-        if keys.shape[0]:
-            keys += np.uint64(lo)
-            keep = _keep_mask(bitgen, keys.shape[0] * m * m, bound)
-            chosen = _candidates(keys, offsets, m, side, 2)[keep]
-            _scatter(child, chosen)
-            kept += chosen.shape[0]
+    for x0 in range(0, top, rows):
+        band = runs[m * x0 : m * (x0 + rows)]
+        for y0 in range(0, top, width):
+            alive = above[x0 : x0 + rows, y0 : y0 + width]
+            live = int(np.count_nonzero(alive))
+            if live:
+                keep = _keep_mask(bitgen, live * m * m, bound)
+                drawn = keep.view(run).reshape(live, m)
+                for dx in range(m):
+                    band[dx::m, y0 : y0 + width][alive] = drawn[:, dx]
+                kept += int(np.count_nonzero(keep))
     return child, kept
-
-
-def _scatter(flat: np.ndarray, keys: np.ndarray) -> None:
-    # the key x * side + y is the flat index of cell (x, y) in the transposed
-    # grid; keys stay below 2^24, so their int64 view is exact
-    flat[keys.view(np.intp)] = 1
 
 
 def _image(flat: np.ndarray, side: int) -> np.ndarray:

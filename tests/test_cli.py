@@ -326,6 +326,26 @@ def test_json_run_builds_no_csv_row(capsys, monkeypatch, command, args):
     assert rc == 0 and json.loads(out)["result"]
 
 
+@pytest.mark.parametrize("command", ["measure", "survival"])
+def test_estimator_looked_up_when_the_command_runs(capsys, monkeypatch, command):
+    # a wrapper installed on perclab.cli after import (as a tracer does) sees
+    # the call, and the output bytes are those of the unwrapped run
+    import perclab.cli as cli
+
+    argv = (command, "--family", "mfp", "--p", "0.7", "--n", "1", "--m", "2", "--depth", "6",
+            "--seed", "9", "--reps", "50")
+    want = run(capsys, *argv)
+    calls = {}
+    for name in ("estimate_measure", "estimate_survival"):
+        def recorded(params, replicates, _fn=getattr(cli, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(params, replicates)
+
+        monkeypatch.setattr(cli, name, recorded)
+    assert run(capsys, *argv) == want
+    assert calls == {f"estimate_{command}": 1}
+
+
 # -- witness -----------------------------------------------------------------------------
 
 

@@ -855,11 +855,13 @@ def test_render_level_tailless_prefix_error_matches_generate():
 @pytest.mark.parametrize("level", [1, 2, 5])
 def test_render_level_builds_no_key_level(monkeypatch, level):
     # every level is a bitmap of its own side: no level's keys are
-    # gathered or sorted, and every candidate is expanded from a bitmap slice
+    # gathered or sorted, no child's key is built, and every candidate is
+    # expanded from a bitmap slice
     def refuse(*args, **kwargs):
-        raise AssertionError("render built a key level")
+        raise AssertionError("render built a key")
 
-    monkeypatch.setattr(engine, "_next_level_packed", refuse)
+    for name in ("_next_level_packed", "_candidates", "_offsets", "_pack", "_unpack"):
+        monkeypatch.setattr(engine, name, refuse)
     built = []
     bitmap = engine._next_bitmap
 
@@ -922,6 +924,36 @@ def test_render_level_extinct_above_the_level_is_an_empty_raster(m):
     got = render_level(params, 4)
     assert got.shape == (m**4, m**4) and got.dtype == np.uint8 and not got.any()
     assert np.array_equal(got, _reference_render(params, 4))
+
+
+@pytest.mark.parametrize("slicing", ["part-row", "one-row", "rows-and-remainder"])
+@pytest.mark.parametrize("m, level", [(2, 7), (3, 5), (4, 4)])
+def test_render_level_slices_of_the_last_level(monkeypatch, slicing, m, level):
+    # _CHUNK sets the last expansion's slice, over parent rows of
+    # m^(level-1) cells, to part of a row, exactly one row, or ``rows`` whole
+    # rows (the extra half row does not fit a whole row); ``rows`` does not
+    # divide the row count, so the last slice is a shorter remainder
+    width = m ** (level - 1)
+    rows = 2 if m % 2 else 3
+    step = {"part-row": width - 1, "one-row": width, "rows-and-remainder": rows * width + width // 2}[slicing]
+    monkeypatch.setattr(engine, "_CHUNK", step * m * m)
+    params = PercolationParams(2, m, level, ProbSequence.mfp(0.9), seed=1)
+    counts = sample_counts(params)
+    drawn = []
+    monkeypatch.setattr(engine, "_keep_mask", _recording(engine._keep_mask, drawn))
+    got = render_level(params, level)
+    # every live parent's m^2 words are drawn once, at most a slice at a time
+    assert sum(size for _, size, _ in drawn) == sum(counts[:level]) * m * m
+    assert max(size for _, size, _ in drawn) <= step * m * m < counts[level - 1] * m * m
+    monkeypatch.undo()
+    assert np.count_nonzero(got) == counts[level] > 0
+    assert np.array_equal(got, _reference_render(params, level))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_render_level_seed_sweep(seed):
+    params = PercolationParams(2, 2, 9, ProbSequence.mfp(0.95), seed=seed)
+    assert np.array_equal(render_level(params, 9), _reference_render(params, 9))
 
 
 def test_render_level_slices_of_one_parent(monkeypatch):

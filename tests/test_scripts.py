@@ -70,8 +70,9 @@ def test_sample_probe_prints_one_line_per_case(tmp_path):
     proc = run_script("sample_probe.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
-    samples = [line for line in lines if line[0] != "estimate"]
-    estimates = lines[len(samples):]
+    samples = [line for line in lines if line[0] not in ("render", "estimate")]
+    renders = lines[len(samples) : len(samples) + 1656]
+    estimates = lines[len(samples) + len(renders) :]
     # 7 geometries, 6 sequences, 2 budgets, 2 seeds and 3 streams
     assert len(samples) == 504
     kinds = set()
@@ -80,6 +81,12 @@ def test_sample_probe_prints_one_line_per_case(tmp_path):
         assert (gen[0] if isinstance(counts, list) else gen) == counts
         kinds.add("counts" if isinstance(counts, list) else counts[0])
     assert kinds == {"counts", "BudgetExceededError", "InvalidParamsError"}
+    # the planar geometries' 11 + 8 + 4 levels of side <= 4096, each with
+    # the same 6 sequences, 2 budgets, 2 seeds and 3 streams
+    assert all(line[0] == "render" for line in renders)
+    assert {line[1:4] for line in renders} == {(2, 2, 10), (2, 3, 7), (2, 10, 9)}
+    assert {"grid" if isinstance(line[-1], str) else line[-1][0] for line in renders} == {
+        "grid", "BudgetExceededError", "InvalidParamsError"}
     # then 3 geometries, 6 sequences, 2 seeds and 3 estimators
     assert len(estimates) == 108 and all(line[0] == "estimate" for line in estimates)
     outcomes = {(line[1], "report" if isinstance(line[-1], dict) else line[-1][0])
