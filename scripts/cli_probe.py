@@ -72,7 +72,7 @@ FLAG_CALLS = [
      "--depth", "4", "--reps", "2", "--budget", "100000"),
     ("witness", "--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
     ("witness", "--r", "0.5", "--n", "1", "--m", "2", "--ledger"),
-    ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4", "--out", "probe.json"),
+    ("witness", "--case", "integer", "--r", "2", "--n", "2", "--m", "2", "--out", "probe.json"),
     ("witness", "--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3", "--format", "json"),
     ("witness", "--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
     ("witness", "--r", "1.5", "--n", "2", "--ledger", "--out", "probe.txt"),
@@ -103,7 +103,7 @@ FLAG_CALLS = [
     ("survival", *SEQ, *SIM, "--reps", "10", "--threads", "0"),
     ("sweep", "--quantity", "survival", *SEQ),
     ("witness", "--n", "1", "--m", "2"),
-    ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "54"),
+    ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
     ("bogus",),
 ]
 

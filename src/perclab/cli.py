@@ -75,7 +75,7 @@ def _number(value) -> int | float:
     return value
 
 
-def _integer(value) -> int:
+def _int(value) -> int:
     number = _number(value)
     if number != int(number):
         raise ValueError(f"expected an integer, got {value!r}")
@@ -115,12 +115,12 @@ def _fields(value, count: int, form: str) -> list | tuple:
 
 def _pair(value) -> tuple[int, int]:
     lo, hi = _fields(value, 2, "lo:hi")
-    return _integer(lo), _integer(hi)
+    return _int(lo), _int(hi)
 
 
 def _parse_grid(value) -> tuple[float, float, int]:
     lo, hi, count = _fields(value, 3, "lo:hi:count")
-    lo, hi, count = _real(lo), _real(hi), _integer(count)
+    lo, hi, count = _real(lo), _real(hi), _int(count)
     if count < 2:
         raise ValueError(f"needs count >= 2, got {count}")
     return lo, hi, count
@@ -133,7 +133,7 @@ def _grid(value):
 
 
 def _threads(value) -> int:
-    threads = _integer(value)
+    threads = _int(value)
     if threads < 1:
         raise ValueError(f"must be >= 1, got {threads}")
     return threads
@@ -158,31 +158,31 @@ class _Command(NamedTuple):
 _OPTIONS = {
     "out": _Option("--out", _text, None, "output path (stdout when omitted; required for pgm)"),
     "format": _Option("--format", _text, None, "output format", ("json", "csv", "pgm")),
-    "family": _Option("--family", _text, None, "mfp | power | power_head | power_telescope | explicit"),
+    "family": _Option("--family", _text, None,
+                      "mfp | power | power_head | power_harmonic | power_telescope | explicit"),
     "p": _Option("--p", _real, None, "base probability"),
     "a": _Option("--a", _real, None, "family shape parameter / gap ratio"),
     "prefix": _Option("--prefix", _reals, None, "comma list: probabilities (explicit) or exponents (power)"),
     "tail": _Option("--tail", _real, None, "constant tail: probability (explicit) or exponent (power)"),
-    "n": _Option("--n", _integer, 1, "ambient dimension"),
-    "m": _Option("--m", _integer, 2, "subdivision index"),
-    "depth": _Option("--depth", _integer, 8, "subdivision depth K"),
-    "seed": _Option("--seed", _integer, 0, "64-bit master seed"),
-    "budget": _Option("--budget", _integer, DEFAULT_CELL_BUDGET, "max candidate cells per level"),
-    "stream": _Option("--stream", _integer, 0, "replicate stream index"),
-    "level": _Option("--level", _integer, None, "level to rasterize (default: depth)"),
-    "replicates": _Option("--reps", _integer, 1000, "replicate count"),
+    "n": _Option("--n", _int, 1, "ambient dimension"),
+    "m": _Option("--m", _int, 2, "subdivision index"),
+    "depth": _Option("--depth", _int, 8, "subdivision depth K"),
+    "seed": _Option("--seed", _int, 0, "64-bit master seed"),
+    "budget": _Option("--budget", _int, DEFAULT_CELL_BUDGET, "max candidate cells per level"),
+    "stream": _Option("--stream", _int, 0, "replicate stream index"),
+    "level": _Option("--level", _int, None, "level to rasterize (default: depth)"),
+    "replicates": _Option("--reps", _int, 1000, "replicate count"),
     "threads": _Option("--threads", _threads, 1, "no effect: replicates run inline in stream order"),
     "window": _Option("--window", _pair, DEFAULT_WINDOW, "k_lo:k_hi evaluation window"),
     "method": _Option("--method", _text, "auto", "dimension method", ("auto", "analytic", "windowed")),
     "fit": _Option("--fit", _pair, None, "k_min:k_max fit levels (boxdim)"),
-    "max_attempts": _Option("--max-attempts", _integer, 1000, "replicates drawn at most (boxdim)"),
+    "max_attempts": _Option("--max-attempts", _int, 1000, "replicates drawn at most (boxdim)"),
     "quantity": _Option("--quantity", _text, None, "swept quantity", ("survival", "measure", "boxdim", "dims")),
     "p_grid": _Option("--p-grid", _grid, None, "lo:hi:count grid over p"),
     "a_grid": _Option("--a-grid", _grid, None, "lo:hi:count grid over a"),
     "r": _Option("--r", _real, None, "target dimension"),
     "l": _Option("--l", _real, 0.0, "target expected measure"),
     "case": _Option("--case", _text, "union", "fractional | integer | positive | union"),
-    "terms": _Option("--terms", _integer, 8, "union terms J for integer targets"),
     "ledger": _Option("--ledger", _boolean, False, "write the text ledger, not the JSON report"),
 }
 
@@ -453,7 +453,7 @@ def _run_boxdim(cfg: dict, fmt: str):
 def _run_witness(cfg: dict, fmt: str):
     if cfg["r"] is None:
         raise ConfigError("witness needs --r (target dimension)")
-    spec = WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"], case=cfg["case"], terms=cfg["terms"])
+    spec = WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"], case=cfg["case"])
     rep = build_witness(spec)
     return format_witness_ledger(rep) if fmt == "ledger" else rep.to_dict(), (
         f"witness case={spec.case}: combined_dim={rep.combined_dim:.10g} "
@@ -491,7 +491,7 @@ _COMMANDS = {
     "survival": _Command("Monte Carlo survival-frequency estimate", _EST, ("json", "csv"), _run_estimate),
     "boxdim": _Command("box-counting slope over surviving replicates", _EST + _BOX, ("json", "csv"), _run_boxdim),
     "witness": _Command("build a (dimension, measure) witness report",
-                        ("n", "m", "r", "l", "case", "terms", "ledger"), ("json",), _run_witness),
+                        ("n", "m", "r", "l", "case", "ledger"), ("json",), _run_witness),
     "sweep": _Command("grid sweep over one parameter, CSV out",
                       _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX, ("csv",), _run_sweep),
 }

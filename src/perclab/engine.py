@@ -288,7 +288,7 @@ def _pack(cells: np.ndarray, side: np.uint64) -> np.ndarray:
     """Row-major key of each row, sum_a X_a * side^(n-1-a), as uint64.
 
     The arithmetic wraps modulo 2^64, so the key is exact whenever its true
-    value fits, whatever the intermediate terms.
+    value fits, whatever the intermediate values.
     """
     key = cells[:, 0].copy()
     for axis in range(1, cells.shape[1]):

@@ -29,11 +29,13 @@ KIND_EXPLICIT = "explicit"
 KIND_MFP = "mfp"
 KIND_POWER = "power"
 KIND_POWER_HEAD = "power_head"
+KIND_POWER_HARMONIC = "power_harmonic"
 KIND_POWER_TELESCOPE = "power_telescope"
 
 EXP_CONSTANT_ONE = "constant_one"
 EXP_EXPLICIT_LIST = "explicit_list"
 EXP_GEOMETRIC_GAP = "geometric_gap"
+EXP_HARMONIC = "harmonic"
 
 ANALYTIC = "analytic"
 WINDOWED = "windowed"
@@ -53,7 +55,7 @@ MAX_WINDOW_TOP = 1 << 20
 # sums of m^(nk) * (-ln p_k) pass it (declared divergent).
 LOG_UNDERFLOW = 700.0
 
-_KINDS = {KIND_EXPLICIT, KIND_MFP, KIND_POWER, KIND_POWER_HEAD, KIND_POWER_TELESCOPE}
+_KINDS = {KIND_EXPLICIT, KIND_MFP, KIND_POWER, KIND_POWER_HEAD, KIND_POWER_HARMONIC, KIND_POWER_TELESCOPE}
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,7 @@ class ExponentSpec:
       constant_one   a_k = 1                       (Mandelbrot percolation)
       explicit_list  finite positive list, then a constant tail
       geometric_gap  a_k = a^(k-1) - a^k, 0 < a < 1 (gaps telescope to 1)
+      harmonic       a_k = 1/k (Cesaro limit 0, divergent series)
     """
 
     kind: str
@@ -83,7 +86,7 @@ class ExponentSpec:
         elif self.kind == EXP_GEOMETRIC_GAP:
             if self.a is None or not 0.0 < self.a < 1.0:
                 raise InvalidParamsError("geometric_gap needs a in (0, 1)")
-        else:
+        elif self.kind != EXP_HARMONIC:
             raise InvalidParamsError(f"unknown exponent kind {self.kind!r}")
 
     @classmethod
@@ -98,6 +101,10 @@ class ExponentSpec:
     def geometric_gap(cls, a: float) -> "ExponentSpec":
         return cls(EXP_GEOMETRIC_GAP, a=float(a))
 
+    @classmethod
+    def harmonic(cls) -> "ExponentSpec":
+        return cls(EXP_HARMONIC)
+
     def a_at(self, k: int) -> float:
         if k < 1:
             raise InvalidParamsError("exponent index must be >= 1")
@@ -105,6 +112,8 @@ class ExponentSpec:
             return 1.0
         if self.kind == EXP_EXPLICIT_LIST:
             return self.values[k - 1] if k <= len(self.values) else self.tail
+        if self.kind == EXP_HARMONIC:
+            return 1.0 / k
         return self.a ** (k - 1) - self.a**k
 
     def cesaro_limit(self) -> float:
@@ -120,7 +129,8 @@ class ExponentSpec:
 
         Only telescoping gaps with a * base < 1 converge:
         sum_k base^k (a^(k-1) - a^k) = (1 - a) base / (1 - a base).
-        Every other rule has positive exponents from some k on.
+        Every other rule has positive exponents from some k on, or is the
+        harmonic a_k = 1/k, whose series diverges already at base 1.
         """
         if self.kind == EXP_GEOMETRIC_GAP and self.a * base < 1.0:
             return (1.0 - self.a) * base / (1.0 - self.a * base)
@@ -146,6 +156,8 @@ class ProbSequence:
       mfp              constant p_k = p (Mandelbrot fractal percolation), a_k = 1
       power            p_k = p^(a_k) with any :class:`ExponentSpec` rule
       power_head       p^a at k = 1 and p afterwards (a >= 1), a_k = a, 1, 1, ...
+      power_harmonic   p^(1/k); p_k climbs to 1 but prod p_k = 0, so the
+                       limit set has full dimension and measure 0
       power_telescope  p^(a^(k-1) - a^k) with 0 < a < 1; probabilities climb
                        to 1 fast enough that the limit set stays fat
       explicit         a finite prefix plus an optional constant tail
@@ -181,6 +193,9 @@ class ProbSequence:
         _check_prob(self.p)
         if self.exponents is None:
             raise InvalidParamsError(f"{self.kind} sequence needs an ExponentSpec")
+        if self.kind == KIND_POWER and self.exponents.kind == EXP_HARMONIC:
+            # the power wire dict has no field for this rule, so it would read back as constant_one
+            raise InvalidParamsError("harmonic exponents are family power_harmonic, not power")
         if not self.exponents.is_nonincreasing():
             self._monotonicity_violation(f"{self.kind} exponents increase somewhere (p_k would decrease)")
 
@@ -202,6 +217,10 @@ class ProbSequence:
     @classmethod
     def power_head(cls, p: float, a: float) -> "ProbSequence":
         return cls(KIND_POWER_HEAD, p=float(p), exponents=ExponentSpec.explicit_list((a,), 1.0))
+
+    @classmethod
+    def power_harmonic(cls, p: float) -> "ProbSequence":
+        return cls(KIND_POWER_HARMONIC, p=float(p), exponents=ExponentSpec.harmonic())
 
     @classmethod
     def power_telescope(cls, p: float, a: float) -> "ProbSequence":
@@ -293,7 +312,7 @@ class ProbSequence:
         given = {key for key in ("p", "a", "prefix", "tail") if d.get(key) is not None}
         if kind == KIND_EXPLICIT:
             reads = {"prefix", "tail"}
-        elif kind == KIND_MFP:
+        elif kind in (KIND_MFP, KIND_POWER_HARMONIC):
             reads = {"p"}
         elif kind == KIND_POWER and "a" not in given:
             reads = {"p", "prefix", "tail"} if "prefix" in given else {"p"}
@@ -308,6 +327,8 @@ class ProbSequence:
             raise InvalidParamsError(f"{kind} sequence needs field 'p'")
         if kind == KIND_MFP:
             return cls.mfp(p)
+        if kind == KIND_POWER_HARMONIC:
+            return cls.power_harmonic(p)
         if kind == KIND_POWER_HEAD:
             return cls.power_head(p, _require(d, "a", kind))
         if kind == KIND_POWER_TELESCOPE:

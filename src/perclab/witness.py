@@ -3,20 +3,20 @@
 Each witness is a list of percolation components, one per axis-aligned cube
 region, whose sequences realize the target analytically:
 
-  fractional target r, measure 0   one head-weighted family at p = m^(r - n)
-  integer target r, measure 0      a union of fractional witnesses at
-                                   dimensions r - 2^-k, truncated at J terms
-                                   (dimension sup approached, gap 2^-J)
+  target r < n, measure 0          one head-weighted family at p = m^(r - n)
+  target r = n, measure 0          one harmonic family p_k = p^(1/k): p_k -> 1
+                                   but prod p_k = 0
   measure target l > 0             one telescoping family at p = l/(floor(l)+1),
                                    scaled into [0, b]^n, b = (floor(l)+1)^(1/n)
   union                            a measure-0 low-dimension block in the
                                    translated cube [b, 2b]^n next to the
                                    case-appropriate block in [0, b]^n
 
-build_witness is the one entry point.  WitnessReport derives the combined
-values by two exact rules: dimension of a finite union is the max over
-components, and expected measure adds over regions with pairwise disjoint
-interiors.
+The fractional and integer cases share the zero-measure builder, so every
+case meets its target exactly.  build_witness is the one entry point.
+WitnessReport derives the combined values by two exact rules: dimension of a
+finite union is the max over components, and expected measure adds over
+regions with pairwise disjoint interiors.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ _CASES = {
     "union": CASE_UNION,
 }
 
-# the families' shape parameter a: the predictions do not depend on it, so
-# each value gives a distinct law with the same dimension and measure
+# the families' shape parameters (a, and the harmonic base p): the predictions
+# do not depend on them, so each value gives a distinct law with the same
+# dimension and measure
 _HEAD_EXPONENT = 1.0
 _TELESCOPE_GAP = 0.5
+_HARMONIC_BASE = 0.5
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,10 @@ class Box:
         return self.side**self.n
 
     def overlaps_interior(self, other: "Box") -> bool:
-        """Whether the interiors meet in more than floating-point rounding.
-
-        Cubes placed side by side can overlap by an ulp (with side 1/9, the
-        sixth slot's lo + side rounds past the seventh's lo); that sliver is
-        no overlap.
-        """
+        """Whether the interiors meet; cubes that only share a face do not."""
         if self.n != other.n:
             raise InvalidParamsError("boxes live in different dimensions")
-        slack = 1e-12 * max(self.side, other.side)
-        return all(
-            a + slack < b + other.side and b + slack < a + self.side
-            for a, b in zip(self.lo, other.lo)
-        )
+        return all(a < b + other.side and b < a + self.side for a, b in zip(self.lo, other.lo))
 
     def to_dict(self) -> dict:
         return {"lo": list(self.lo), "side": self.side}
@@ -108,17 +101,13 @@ class WitnessComponent:
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """Target (dimension r, expected measure l) plus build knobs.
-
-    ``terms`` truncates the union for integer targets.
-    """
+    """Target (dimension r, expected measure l) in n dimensions, subdivision m."""
 
     r: float
     l: float
     n: int
     m: int
     case: str = CASE_UNION
-    terms: int = 8
 
     def __post_init__(self):
         case = str(self.case).strip().lower()
@@ -155,7 +144,6 @@ class WitnessReport:
     components: tuple[WitnessComponent, ...]
     target_dim: float
     target_measure: float
-    truncation_gap: float = 0.0
 
     def __post_init__(self):
         # the measure rule adds over regions, so an overlap is a construction
@@ -188,7 +176,6 @@ class WitnessReport:
             "combined_measure": self.combined_measure,
             "target_dim": self.target_dim,
             "target_measure": self.target_measure,
-            "truncation_gap": self.truncation_gap,
         }
 
 
@@ -199,41 +186,21 @@ def _head_component(dim_target: float, n: int, m: int, region: Box, label: str) 
     return WitnessComponent(region, seq, predicted_dim=dim_target, predicted_measure=0.0, label=label)
 
 
-# a case builder takes a validated spec and returns its components and truncation gap
-_Built = tuple[tuple[WitnessComponent, ...], float]
+def _zero_measure(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
+    """Dimension r <= n, measure 0, in the unit cube.
 
-
-def _fractional(spec: WitnessSpec) -> _Built:
-    """Dimension r (non-integer), measure 0: one block at p = m^(r - n) in the unit cube."""
-    if spec.r == math.floor(spec.r):
-        raise InvalidParamsError(f"fractional witness needs a non-integer r, got {spec.r}")
-    return (_head_component(spec.r, spec.n, spec.m, Box((0.0,) * spec.n, 1.0), "dim_carrier"),), 0.0
-
-
-def _integer(spec: WitnessSpec) -> _Built:
-    """Integer dimension r, measure 0: J blocks at dims r - 2^-k, k = 1..J.
-
-    The blocks sit in disjoint cubes of side 1/J along axis 0 of the unit
-    cube.  Their sup is r; the J-term truncation reaches r - 2^-J.
+    r < n: a head block at p = m^(r - n).  r = n: the harmonic p_k = p^(1/k),
+    whose Cesaro limit 0 gives p_inf = 1 and dimension n, and whose
+    harmonic series sum_k 1/k diverges, so prod p_k = 0 and the measure is 0.
     """
-    r, n, terms = spec.r, spec.n, spec.terms
-    if r != math.floor(r):
-        raise InvalidParamsError(f"integer witness needs an integer r, got {r}")
-    if terms < 2:
-        raise InvalidParamsError(f"need at least 2 union terms, got {terms}")
-    if r - 2.0**-terms == r:
-        raise InvalidParamsError(
-            f"terms={terms} is too many for r={r}: r - 2^-terms rounds to r in double precision"
-        )
-    side = 1.0 / terms
-    comps = []
-    for k in range(1, terms + 1):
-        slot = Box(((k - 1) * side,) + (0.0,) * (n - 1), side)
-        comps.append(_head_component(r - 2.0**-k, n, spec.m, slot, f"approximant_{k}"))
-    return tuple(comps), 2.0**-terms
+    unit = Box((0.0,) * spec.n, 1.0)
+    if spec.r < spec.n:
+        return (_head_component(spec.r, spec.n, spec.m, unit, "dim_carrier"),)
+    seq = ProbSequence.power_harmonic(_HARMONIC_BASE)
+    return (WitnessComponent(unit, seq, predicted_dim=float(spec.n), predicted_measure=0.0, label="dim_carrier"),)
 
 
-def _positive(spec: WitnessSpec) -> _Built:
+def _positive(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
     """Measure l > 0 at dimension n: a telescope at p = l / (floor(l) + 1).
 
     Its unit-cube measure p scales to l in the cube [0, b]^n, b^n = floor(l) + 1.
@@ -248,26 +215,25 @@ def _positive(spec: WitnessSpec) -> _Built:
     comp = WitnessComponent(
         Box((0.0,) * n, b), seq, predicted_dim=float(n), predicted_measure=l, label="measure_carrier"
     )
-    return (comp,), 0.0
+    return (comp,)
 
 
-def _union(spec: WitnessSpec) -> _Built:
+def _union(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
     """The target's own block in [0, b]^n beside a low block in [b, 2b]^n.
 
     b = (floor(l)+1)^(1/n).  The low block has measure 0 and dimension r/2,
     so it never wins the max rule.
     """
     r, l, n = spec.r, spec.l, spec.n
-    block = _positive if l > 0.0 else (_integer if r == math.floor(r) else _fractional)
-    comps, gap = block(spec)
+    comps = _positive(spec) if l > 0.0 else _zero_measure(spec)
     b = (math.floor(l) + 1.0) ** (1.0 / n)
     low = _head_component(r / 2.0, n, spec.m, Box((b,) * n, b), "low_dim_block")
-    return comps + (low,), gap
+    return comps + (low,)
 
 
 _BUILDERS = {
-    CASE_FRACTIONAL: _fractional,
-    CASE_INTEGER: _integer,
+    CASE_FRACTIONAL: _zero_measure,
+    CASE_INTEGER: _zero_measure,
     CASE_POSITIVE: _positive,
     CASE_UNION: _union,
 }
@@ -275,9 +241,8 @@ _BUILDERS = {
 
 def build_witness(spec: WitnessSpec) -> WitnessReport:
     """The witness for spec's case: dimension r if l = 0 and n otherwise, measure l."""
-    components, gap = _BUILDERS[spec.case](spec)
-    target_dim, target_measure = (float(spec.r) if spec.l == 0 else float(spec.n), float(spec.l))
-    return WitnessReport(spec.n, spec.m, components, target_dim, target_measure, gap)
+    target_dim = float(spec.r) if spec.l == 0 else float(spec.n)
+    return WitnessReport(spec.n, spec.m, _BUILDERS[spec.case](spec), target_dim, float(spec.l))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +264,4 @@ def format_witness_ledger(report: WitnessReport) -> str:
     lines.append(f"combined dimension (rule: max over components)      = {report.combined_dim:.10g}")
     lines.append(f"combined measure   (rule: sum over disjoint regions) = {report.combined_measure:.10g}")
     lines.append(f"target dimension = {report.target_dim:.10g}, target measure = {report.target_measure:.10g}")
-    if report.truncation_gap:
-        lines.append(
-            f"union truncated: combined dimension sits {report.truncation_gap:.3g} below its supremum"
-        )
     return "\n".join(lines)

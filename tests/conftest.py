@@ -42,6 +42,12 @@ def catalog_seqs(p_lo=0.3, p_hi=0.97):
     )
 
 
+def harmonic_seqs(p_lo=0.3, p_hi=0.97):
+    # kept out of catalog_seqs: its windowed means carry a |ln p| / (k_lo + 1)
+    # transient, so it fails the windowed-vs-analytic alpha bound by design
+    return st.builds(ProbSequence.power_harmonic, st.floats(p_lo, p_hi))
+
+
 def explicit_tail_seqs():
     def build(values, tail):
         # a non-decreasing prefix below its tail, so p_k stays monotone

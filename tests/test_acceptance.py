@@ -146,6 +146,20 @@ def test_criterion_4_expected_measure():
     )
 
 
+def test_criterion_4b_harmonic_expected_measure():
+    # p_k = p^(1/k): the depth-K measure p^(H_K) decays to 0 while p_k -> 1
+    t0 = time.perf_counter()
+    harmonic_k = sum(1.0 / k for k in range(1, 10))
+    details = []
+    ok = True
+    for p in (0.1, 0.5):
+        rep = estimate_measure(PercolationParams(2, 2, 9, ProbSequence.power_harmonic(p), seed=1), 4000)
+        ok &= abs(rep.theory - p**harmonic_k) < 1e-12 * rep.theory and abs(rep.z_score) < 5
+        details.append(f"p={p}: estimate {rep.estimate:.5f}, theory {rep.theory:.5f}, z = {rep.z_score:.2f}")
+    elapsed = time.perf_counter() - t0
+    _report("criterion 4b (harmonic expected measure)", ok, elapsed, 30.0, "; ".join(details))
+
+
 def test_criterion_5a_survival_subcritical_bound():
     """Empirical survival < 0.01 at p = 0.45 (m^n p = 0.9), R = 10^4, depth 40.
 
@@ -228,9 +242,9 @@ def test_criterion_7_witness_ledger():
     # (r, l) = (0.5, 0)
     rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="union"))
     ok &= rep.combined_dim == 0.5 and rep.combined_measure == 0.0
-    # (1, 0) with J = 8: truncation sits exactly 2^-8 below the target
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, terms=8, case="union"))
-    ok &= rep.combined_dim == 1 - 2.0**-8 and rep.combined_measure == 0.0
+    # (1, 0): an integer target at r = n is met exactly
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="union"))
+    ok &= rep.combined_dim == 1.0 and rep.combined_measure == 0.0
     # (1, 1.5)
     rep15 = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union"))
     ok &= rep15.combined_dim == 1.0 and rep15.combined_measure == 1.5

@@ -389,13 +389,13 @@ def test_witness_ledger_refuses_an_explicit_format(tmp_path, capsys, fmt):
     "args, digest",
     [
         (("--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3"),
-         "ab5d06dd11f88df5769baba45b29641dab0755cb3a73b7f0ee98fec5678a1b7b"),
-        (("--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
-         "512fdc9fd81ffaf79293a45a4bf46ba85b98aaa8f4939665db78b1ba5e578059"),
+         "9c204e162abac7214aacf6299365e28bfaa1e12bddcfc261cd4bc737127496e6"),
+        (("--case", "integer", "--r", "1", "--n", "1", "--m", "2"),
+         "1eb12f51922eb4a6e4dc3af855619a4ac845f61b215b0cf5496f7a315fbb4d6e"),
         (("--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
-         "f08eb67fa37dfb168e7cbe59e59657c7a4f91daa93483e299bd2c2a1adfd5b97"),
+         "51f71f7afad566d19fd501a7f33a2336a71c2b91771b745d1e0170d3b52a254b"),
         (("--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
-         "41fb997aa0daf7a12ac60ae617f0ba7d0996ec2ada20a7b9fe701e3acfdaf93b"),
+         "79abebec1f3970f3fa66734f753a4202f88d88a0ec08ddaf0ce420b204abdf5d"),
     ],
 )
 def test_witness_json_pinned_digest(capsys, args, digest):
@@ -520,7 +520,7 @@ HUGE = "1" + "0" * 400  # an integer no float can hold
     "argv",
     [
         ("dims", "--family", "mfp", "--p", "0.5", "--n", HUGE),
-        ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", HUGE),
+        ("witness", "--case", "integer", "--r", "1", "--n", "2", "--m", HUGE),
     ],
 )
 def test_integer_too_large_for_a_float_exit_3(capsys, argv):
@@ -846,7 +846,7 @@ SURFACE = {
     "boxdim": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _BOX_FLAGS,
     "witness": _IO_FLAGS | {
         (("--n",), "n", None), (("--m",), "m", None), (("--r",), "r", None), (("--l",), "l", None),
-        (("--case",), "case", None), (("--terms",), "terms", None), (("--ledger",), "ledger", None),
+        (("--case",), "case", None), (("--ledger",), "ledger", None),
     },
     "sweep": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _WINDOW_FLAGS | _BOX_FLAGS | {
         (("--quantity",), "quantity", ("survival", "measure", "boxdim", "dims")),
@@ -943,13 +943,10 @@ def test_witness_ignores_config_depth(tmp_path, capsys):
     assert json.loads(out)["result"]["combined_dim"] == 1.5
 
 
-@pytest.mark.parametrize("terms", ["54", "60"])
-def test_witness_too_many_terms_names_the_option(capsys, terms):
-    rc, out, err = run(
-        capsys, "witness", "--case", "integer", "--r", "1", "--l", "0", "--n", "1", "--m", "2", "--terms", terms
-    )
-    assert rc == 3 and out == ""
-    assert "terms" in json.loads(err)["message"]
-    rc, out, _ = run(capsys, "witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "53")
-    assert rc == 0
-    assert len(json.loads(out)["result"]["components"]) == 53
+def test_witness_has_no_terms_option(tmp_path, capsys):
+    # integer targets are exact, so there is no union to truncate
+    args = ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2")
+    rc, out, err = run(capsys, *args, "--terms", "4")
+    assert rc == 2 and out == ""
+    assert "--terms" in err
+    assert_config_error(*run_config(tmp_path, capsys, "witness", {"terms": 4}, *args[1:]))

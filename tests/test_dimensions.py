@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import catalog_seqs, explicit_tail_seqs, geometries
+from conftest import catalog_seqs, explicit_tail_seqs, geometries, harmonic_seqs
 from perclab import (
     ExponentSpec,
     InvalidParamsError,
@@ -126,6 +126,19 @@ def test_power_explicit_tail_closed_forms_exact():
     assert expected_measure(seq, 2, 3) == 0.0
 
 
+@pytest.mark.parametrize("n, m, p", [(1, 2, 0.3), (2, 2, 0.1), (2, 3, 0.05), (3, 2, 0.5)])
+def test_harmonic_closed_forms_exact(n, m, p):
+    # a_k = 1/k: Cesaro limit 0 gives p_inf = 1, and sum_k b^k / k diverges
+    seq = ProbSequence.power_harmonic(p)
+    rep = full_report(seq, n, m)
+    assert rep.method == "analytic"
+    assert rep.hausdorff == rep.packing == rep.box_lower == rep.box_upper == rep.assouad == n
+    assert rep.expected_measure == 0.0
+    cls = classify(seq, n, m)
+    assert (cls.survival_class, cls.interior_class) == ("positive_survival", "empty_interior")
+    assert cls.beta == 0.0 and cls.beta_diverged
+
+
 def test_all_ones_every_dimension_windowed():
     seq = ProbSequence.explicit([], tail=1.0)
     rep = full_report(seq, 2, 2)
@@ -190,7 +203,7 @@ def test_report_float_fields_are_plain_floats(method):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(catalog_seqs(), explicit_tail_seqs()), geometries())
+@given(st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs()), geometries())
 def test_auto_reads_the_limit_of_every_sequence_with_a_tail(seq, nm):
     n, m = nm
     limit = seq.limit
@@ -373,7 +386,7 @@ def windows(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seq=catalog_seqs(), nm=geometries(), window=windows())
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs()), nm=geometries(), window=windows())
 def test_ordering_invariant_windowed(seq, nm, window):
     n, m = nm
     assert _ordered(full_report(seq, n, m, window=window, method="windowed"))
@@ -381,7 +394,7 @@ def test_ordering_invariant_windowed(seq, nm, window):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seq=catalog_seqs(),
+    seq=st.one_of(catalog_seqs(), harmonic_seqs()),
     nm=geometries(),
     window=windows(),
     method=st.sampled_from(["analytic", "windowed"]),
@@ -400,7 +413,7 @@ def test_every_reader_matches_the_full_report(seq, nm, window, method):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seq=catalog_seqs(), nm=geometries())
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs()), nm=geometries())
 def test_ordering_invariant_analytic(seq, nm):
     n, m = nm
     rep = full_report(seq, n, m)
@@ -411,7 +424,7 @@ def test_ordering_invariant_analytic(seq, nm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seq=catalog_seqs(), nm=geometries())
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs()), nm=geometries())
 def test_measure_dimension_equivalence_analytic(seq, nm):
     n, m = nm
     rep = full_report(seq, n, m)

@@ -30,7 +30,7 @@ from perclab import (
 from perclab import engine
 from perclab.engine import level_probs
 
-from conftest import catalog_seqs, geometries
+from conftest import catalog_seqs, geometries, harmonic_seqs
 
 FULL = ProbSequence.explicit([], tail=1.0)
 
@@ -210,7 +210,7 @@ def _outcome(fn):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    seq=st.one_of(catalog_seqs(), explicit_tail_seqs()),
+    seq=st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs()),
     geometry=geometries(),
     depth=st.integers(1, 6),
     seed=st.integers(0, 2**64 - 1),
@@ -796,7 +796,7 @@ def tailless_seqs():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    seq=st.one_of(catalog_seqs(), explicit_tail_seqs(), tailless_seqs()),
+    seq=st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs(), tailless_seqs()),
     m=st.integers(2, 3),
     depth_level=st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
     seed=st.integers(0, 2**64 - 1),

@@ -5,8 +5,9 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import catalog_seqs, geometries
+from conftest import catalog_seqs, geometries, harmonic_seqs
 from perclab import (
     ClassifierReport,
     ExponentSpec,
@@ -274,8 +275,18 @@ def test_windowed_alpha_tracks_analytic(seq):
     assert abs(windowed - analytic) < 1e-3
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("window", [(64, 512), (8, 40), (1, 9)])
+def test_harmonic_windowed_alpha_is_the_first_mean(p, window):
+    # ln p_k = ln(p) / k climbs to 0, so the smallest mean over (k_lo, k] is
+    # its first term: alpha reads p^(1/(k_lo+1)), the family's own transient
+    windowed, _ = alpha_estimate(ProbSequence.power_harmonic(p), window, method="windowed")
+    want = p ** (1.0 / (window[0] + 1))
+    assert abs(windowed - want) <= 2 * math.ulp(want)
+
+
 @settings(max_examples=60, deadline=None)
-@given(seq=catalog_seqs(), nm=geometries())
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs()), nm=geometries())
 def test_alpha_bounds(seq, nm):
     n, m = nm
     rep = classify(seq, n, m)
@@ -298,6 +309,7 @@ def test_alpha_bounds(seq, nm):
         ProbSequence.power(0.6, ExponentSpec.constant_one()),
         ProbSequence.power(0.6, ExponentSpec.geometric_gap(0.3)),
         ProbSequence.power(0.6, ExponentSpec.explicit_list([2.0, 1.5], 1.0)),
+        ProbSequence.power_harmonic(0.5),
     ],
 )
 def test_json_round_trip(seq):
@@ -322,6 +334,7 @@ def test_json_round_trip(seq):
         (ProbSequence.power_head(0.6, 1.5), {"kind": "power_head", "p": 0.6, "a": 1.5}),
         (ProbSequence.power_telescope(0.8, 0.25), {"kind": "power_telescope", "p": 0.8, "a": 0.25}),
         (ProbSequence.mfp(0.7), {"kind": "mfp", "p": 0.7}),
+        (ProbSequence.power_harmonic(0.5), {"kind": "power_harmonic", "p": 0.5}),
     ],
 )
 def test_catalog_wire_dicts_exact(seq, wire):
@@ -340,11 +353,18 @@ def test_catalog_wire_dicts_exact(seq, wire):
         ({"kind": "explicit", "prefix": [0.9], "a": 0.5}, "a"),
         ({"kind": "power", "p": 0.5, "a": 0.5, "prefix": [2.0], "tail": 1.0}, "prefix"),
         ({"kind": "power", "p": 0.5, "tail": 1.0}, "tail"),
+        ({"kind": "power_harmonic", "p": 0.5, "a": 2.0}, "a"),
     ],
 )
 def test_from_dict_rejects_fields_the_family_does_not_read(wire, unread):
     with pytest.raises(InvalidParamsError, match=f"'{unread}'"):
         ProbSequence.from_dict(wire)
+
+
+def test_power_refuses_harmonic_exponents():
+    # power's wire dict has no field for the rule: it would read back as constant_one
+    with pytest.raises(InvalidParamsError, match="power_harmonic"):
+        ProbSequence.power(0.5, ExponentSpec.harmonic())
 
 
 def test_from_dict_reads_null_fields_as_absent():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perclab import (
@@ -40,56 +40,43 @@ def test_fractional_plane():
     assert rep.combined_dim == 1.5
 
 
-def test_fractional_rejects_integer():
-    with pytest.raises(InvalidParamsError):
-        build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=2, case="fractional"))
-
-
 def test_fractional_needs_room():
     with pytest.raises(InvalidParamsError):
         build_witness(WitnessSpec(r=1.5, l=0.0, n=1, m=2, case="fractional"))
 
 
-# -- integer (union of approximants) -------------------------------------------------
+# -- integer targets ------------------------------------------------------------------
 
 
-def test_integer_union_dims_ladder():
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=8))
-    dims = [c.predicted_dim for c in rep.components]
-    assert dims == [1 - 2.0**-k for k in range(1, 9)]
-    assert rep.combined_dim == 1 - 2.0**-8
-    assert rep.truncation_gap == 2.0**-8
-    assert rep.target_dim == 1.0
+def test_integer_below_n_is_one_head_block():
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=2, case="integer"))
+    (comp,) = rep.components
+    assert comp.label == "dim_carrier"
+    assert comp.seq.kind == "power_head"
+    assert comp.seq.p == 0.5
+    assert rep.combined_dim == rep.target_dim == 1.0
     assert rep.combined_measure == 0.0
 
 
-def test_integer_union_two_terms():
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=2))
-    assert rep.combined_dim == 0.75
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_at_n_is_one_harmonic_block(n):
+    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=2, case="integer"))
+    (comp,) = rep.components
+    assert comp.seq.kind == "power_harmonic"
+    assert comp.region == Box((0.0,) * n, 1.0)
+    assert rep.combined_dim == rep.target_dim == n
+    assert rep.combined_measure == 0.0
 
 
-def test_integer_rejects_fractional_and_bad_terms():
-    with pytest.raises(InvalidParamsError):
-        build_witness(WitnessSpec(r=1.5, l=0.0, n=2, m=2, case="integer"))
-    with pytest.raises(InvalidParamsError):
-        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=1))
-
-
-@pytest.mark.parametrize("terms", [54, 60])
-def test_integer_rejects_terms_past_double_precision(terms):
-    # 1 - 2^-54 rounds to 1, so the last approximant would sit at the target itself
-    with pytest.raises(InvalidParamsError, match=f"terms={terms}"):
-        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=terms))
-
-
-def test_integer_accepts_terms_up_to_double_precision():
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=53))
-    assert len(rep.components) == 53
-    assert rep.combined_dim == 1 - 2.0**-53 < 1.0
+def test_fractional_and_integer_share_one_builder():
+    for r, n in [(0.5, 1), (1.0, 1), (1.0, 2), (2.5, 3)]:
+        a = build_witness(WitnessSpec(r=r, l=0.0, n=n, m=3, case="fractional"))
+        b = build_witness(WitnessSpec(r=r, l=0.0, n=n, m=3, case="integer"))
+        assert a.components == b.components
 
 
 def test_integer_union_regions_disjoint():
-    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, case="integer", terms=4))
+    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, case="union"))
     boxes = [c.region for c in rep.components]
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -146,14 +133,17 @@ def test_union_positive_measure_target():
     assert low.region.lo == (3.0,)
 
 
-def test_union_integer_target_truncates():
-    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, terms=6, case="union"))
-    assert rep.combined_dim == 2 - 2.0**-6
-    assert rep.truncation_gap == 2.0**-6
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_union_integer_target_is_exact(n):
+    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=3, case="union"))
+    assert rep.combined_dim == n
     assert rep.combined_measure == 0.0
-    # low-dimension block at r/2 = 1 works even though 1 is an integer
+    carrier = next(c for c in rep.components if c.label == "dim_carrier")
+    assert carrier.seq.kind == "power_harmonic"
+    # low-dimension block at r/2 works whether or not r/2 is an integer
     low = next(c for c in rep.components if c.label == "low_dim_block")
-    assert low.predicted_dim == 1.0
+    assert low.predicted_dim == n / 2
+    assert low.region.lo == (1.0,) * n
 
 
 def test_union_square_with_measure():
@@ -190,7 +180,7 @@ def test_spec_case_accepts_short_and_long_names():
 
 def test_build_witness_dispatch():
     assert build_witness(WitnessSpec(r=0.5, l=0, n=1, m=2, case="fractional")).combined_dim == 0.5
-    assert build_witness(WitnessSpec(r=1, l=0, n=1, m=2, case="integer", terms=2)).combined_dim == 0.75
+    assert build_witness(WitnessSpec(r=1, l=0, n=1, m=2, case="integer")).combined_dim == 1.0
     assert build_witness(WitnessSpec(r=1, l=1.5, n=1, m=2, case="positive")).combined_measure == 1.5
     assert build_witness(WitnessSpec(r=1, l=1.5, n=1, m=2)).combined_measure == 1.5
 
@@ -202,9 +192,11 @@ def test_build_witness_dispatch():
     "report,n,m",
     [
         (build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="fractional")), 1, 2),
-        (build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=4)), 1, 2),
+        (build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer")), 1, 2),
         (build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive")), 1, 2),
         (build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union")), 2, 2),
+        (build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=3, case="integer")), 2, 3),
+        (build_witness(WitnessSpec(r=3.0, l=0.0, n=3, m=2, case="union")), 3, 2),
     ],
 )
 def test_components_agree_with_dimension_reports(report, n, m):
@@ -228,23 +220,21 @@ def witness_specs(draw):
         r = float(draw(st.integers(1, n)))
     else:
         r = draw(st.one_of(st.integers(1, n).map(float), st.floats(0.01, float(n))))
-        assume(case != "fractional" or r != math.floor(r))
     measures = st.floats(0.01, 20.0)
     if case == "union":
         measures = st.one_of(st.just(0.0), measures)
     l = draw(measures) if case in ("positive", "union") else 0.0
-    return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)), case=case, terms=draw(st.integers(2, 20)))
+    return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)), case=case)
 
 
 @settings(max_examples=200, deadline=None)
 @given(witness_specs())
 def test_ledger_meets_the_theorems_target(spec):
-    # dimension r if l = 0 and n otherwise, expected measure l; only the
-    # integer union's truncation leaves a (reported) gap
+    # dimension r if l = 0 and n otherwise, expected measure l, met exactly
     rep = build_witness(spec)
     assert rep.target_dim == (spec.r if spec.l == 0 else spec.n)
     assert rep.target_measure == spec.l
-    assert rep.combined_dim == rep.target_dim - rep.truncation_gap
+    assert rep.combined_dim == rep.target_dim
     assert rep.combined_measure == rep.target_measure
     assert rep.combined_dim == max(c.predicted_dim for c in rep.components)
     assert rep.combined_measure == sum(c.predicted_measure for c in rep.components)
@@ -261,12 +251,12 @@ def test_report_rejects_overlapping_regions():
         WitnessReport(1, 2, (a, b), 0.5, 0.0)
 
 
-def test_integer_union_slots_abut_despite_rounding():
-    # the sixth slot's lo + side rounds past the seventh's lo at J = 9: no overlap
-    assert 5 * (1 / 9) + 1 / 9 > 6 * (1 / 9)
-    for terms in range(2, 41):
-        spec = WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer", terms=terms)
-        assert len(build_witness(spec).components) == terms
+def test_boxes_that_share_a_face_do_not_overlap():
+    unit = Box((0.0, 0.0), 1.0)
+    assert not unit.overlaps_interior(Box((1.0, 0.0), 1.0))
+    assert not unit.overlaps_interior(Box((1.0, 1.0), 1.0))
+    # no rounding slack: an overlap of one ulp is an overlap
+    assert unit.overlaps_interior(Box((1.0 - 2.0**-53, 0.5), 1.0))
 
 
 def test_monte_carlo_cross_check_positive_measure():
