@@ -71,11 +71,11 @@ FLAG_CALLS = [
     ("boxdim", "--family", "explicit", "--prefix", "1,1", "--tail", "0.95", "--n", "2", "--m", "2",
      "--depth", "4", "--reps", "2", "--budget", "100000"),
     ("witness", "--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
-    ("witness", "--r", "0.5", "--n", "1", "--m", "2", "--ledger"),
-    ("witness", "--case", "integer", "--r", "2", "--n", "2", "--m", "2", "--out", "probe.json"),
-    ("witness", "--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3", "--format", "json"),
-    ("witness", "--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
-    ("witness", "--r", "1.5", "--n", "2", "--ledger", "--out", "probe.txt"),
+    ("witness", "--r", "0.5", "--n", "1", "--m", "2", "--format", "ledger"),
+    ("witness", "--r", "2", "--n", "2", "--m", "2", "--out", "probe.json"),
+    ("witness", "--r", "0.5", "--n", "1", "--m", "3", "--format", "json"),
+    ("witness", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
+    ("witness", "--r", "1.5", "--n", "2", "--format", "ledger", "--out", "probe.txt"),
     ("sweep", "--quantity", "measure", *TELESCOPE, "--p-grid", "0.4:0.8:3", "--depth", "4", "--reps", "30",
      "--seed", "9"),
     ("sweep", "--quantity", "dims", "--family", "power_telescope", "--p", "0.6", "--n", "2", "--m", "2",
@@ -92,7 +92,7 @@ FLAG_CALLS = [
     ("dims", "--family", "mfp", "--p", "abc"),
     ("dims", *PLANE, "--out", "probe.json", "--format", "pgm"),
     ("dims", *PLANE, "--out", "missing/probe.json"),
-    ("witness", "--r", "1.5", "--n", "2", "--ledger", "--format", "csv"),
+    ("witness", "--r", "1.5", "--n", "2", "--format", "csv"),
     ("generate", *PLANE, "--depth", "4", "--stream", "-1"),
     ("generate", *PLANE, "--depth", "4", "--stream", "18446744073709551616"),
     ("generate", "--family", "mfp", "--p", "1.0", "--n", "2", "--depth", "20", "--budget", "1000",
@@ -103,7 +103,7 @@ FLAG_CALLS = [
     ("survival", *SEQ, *SIM, "--reps", "10", "--threads", "0"),
     ("sweep", "--quantity", "survival", *SEQ),
     ("witness", "--n", "1", "--m", "2"),
-    ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
+    ("witness", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
     ("bogus",),
 ]
 
@@ -121,7 +121,7 @@ CONFIG_CALLS = [
     ("survival", {"family": "mfp", "p": 0.8, "depth": 4, "replicates": 40, "threads": 2, "seed": 5}, ()),
     ("boxdim", {"family": "mfp", "p": 0.9, "n": 2, "depth": 4, "replicates": 2, "fit": [1, 4],
                 "max_attempts": 30}, ()),
-    ("witness", {"r": 0.5, "ledger": True}, ()),
+    ("witness", {"r": 0.5, "format": "ledger"}, ()),
     ("sweep", {"quantity": "dims", "family": "mfp", "n": 2, "p_grid": "0.3:0.9:3"}, ()),
     ("sweep", {"quantity": "measure", "family": "mfp", "a_grid": None, "p_grid": [0.4, 0.8, 2],
                "depth": 3, "replicates": 20}, ()),
@@ -132,7 +132,7 @@ CONFIG_CALLS = [
     # invalid config files
     ("generate", {"family": "mfp", "p": 0.5, "depth": 4.9}, ()),
     ("generate", {"family": "mfp", "p": 0.5, "seed": 1.5}, ()),
-    ("witness", {"r": 0.5, "ledger": "false"}, ()),
+    ("witness", {"r": 0.5, "case": "union"}, ()),
     ("dims", {"family": "mfp", "p": 0.5, "n": True}, ()),
     ("dims", {"family": "mfp", "p": "abc"}, ()),
     ("dims", {"family": "mfp", "p": 0.5, "method": "bogus"}, ()),

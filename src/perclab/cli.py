@@ -4,9 +4,10 @@ Precedence is flags > config file > defaults.  Each option is declared once
 in ``_OPTIONS``, whose parser types its value once, from either source.
 Each subcommand is declared once in ``_COMMANDS``: its help, its flags, the
 formats it writes (the first is the default) and its runner.  ``main``
-picks the format and checks that ``--out`` can be written before any work;
-the runner returns its payload in that format and a summary line for
-stderr; ``_emit`` writes the payload (JSON, CSV, PGM with a provenance line
+picks the format (``--format``, else the ``--out`` extension, else the
+default; ``witness --format ledger`` writes the text ledger) and checks
+that ``--out`` can be written before any work; the runner returns its
+payload in that format and a summary line for stderr; ``_emit`` writes the payload (JSON, CSV, PGM with a provenance line
 on stdout, or the witness ledger), atomically to ``--out`` (temp file +
 rename) or to stdout.  Every run echoes the fully resolved configuration
 (and the tool version) alongside its results, so a saved output is a
@@ -92,12 +93,6 @@ def _text(value) -> str:
     return value
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _reals(value) -> list[float]:
     """A comma list or an array of numbers."""
     items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
@@ -157,7 +152,7 @@ class _Command(NamedTuple):
 # every config field, keyed by name; a config file uses the same names
 _OPTIONS = {
     "out": _Option("--out", _text, None, "output path (stdout when omitted; required for pgm)"),
-    "format": _Option("--format", _text, None, "output format", ("json", "csv", "pgm")),
+    "format": _Option("--format", _text, None, "output format", ("json", "csv", "pgm", "ledger")),
     "family": _Option("--family", _text, None,
                       "mfp | power | power_head | power_harmonic | power_telescope | explicit"),
     "p": _Option("--p", _real, None, "base probability"),
@@ -182,8 +177,6 @@ _OPTIONS = {
     "a_grid": _Option("--a-grid", _grid, None, "lo:hi:count grid over a"),
     "r": _Option("--r", _real, None, "target dimension"),
     "l": _Option("--l", _real, 0.0, "target expected measure"),
-    "case": _Option("--case", _text, "union", "fractional | integer | positive | union"),
-    "ledger": _Option("--ledger", _boolean, False, "write the text ledger, not the JSON report"),
 }
 
 _SEQ = ("family", "p", "a", "prefix", "tail", "n", "m")
@@ -206,10 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         for field in ("out", "format") + spec.fields:
             opt = _OPTIONS[field]
             # flags stay strings here; resolve_config types them with the file's values
-            if opt.parse is _boolean:
-                cmd.add_argument(opt.flag, dest=field, action="store_const", const=True, help=opt.help)
-            else:
-                cmd.add_argument(opt.flag, dest=field, choices=opt.choices, help=opt.help)
+            cmd.add_argument(opt.flag, dest=field, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -313,12 +303,8 @@ def _doc(cfg: dict, result) -> dict:
 
 
 def _pick_format(cfg: dict, spec: _Command) -> str:
-    """``--ledger``, else ``--format``, else the ``--out`` extension, else the default."""
+    """``--format``, else the ``--out`` extension, else the default."""
     fmt = cfg["format"]
-    if cfg["ledger"] and "ledger" in spec.fields:
-        if fmt:
-            raise ConfigError("--ledger writes the text ledger and takes no --format")
-        return "ledger"
     if not fmt and cfg["out"]:
         ext = os.path.splitext(cfg["out"])[1].lstrip(".").lower()
         if ext in spec.formats:
@@ -453,10 +439,9 @@ def _run_boxdim(cfg: dict, fmt: str):
 def _run_witness(cfg: dict, fmt: str):
     if cfg["r"] is None:
         raise ConfigError("witness needs --r (target dimension)")
-    spec = WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"], case=cfg["case"])
-    rep = build_witness(spec)
+    rep = build_witness(WitnessSpec(r=cfg["r"], l=cfg["l"], n=cfg["n"], m=cfg["m"]))
     return format_witness_ledger(rep) if fmt == "ledger" else rep.to_dict(), (
-        f"witness case={spec.case}: combined_dim={rep.combined_dim:.10g} "
+        f"witness: combined_dim={rep.combined_dim:.10g} "
         f"combined_measure={rep.combined_measure:.10g} components={len(rep.components)}"
     )
 
@@ -491,7 +476,7 @@ _COMMANDS = {
     "survival": _Command("Monte Carlo survival-frequency estimate", _EST, ("json", "csv"), _run_estimate),
     "boxdim": _Command("box-counting slope over surviving replicates", _EST + _BOX, ("json", "csv"), _run_boxdim),
     "witness": _Command("build a (dimension, measure) witness report",
-                        ("n", "m", "r", "l", "case", "ledger"), ("json",), _run_witness),
+                        ("n", "m", "r", "l"), ("json", "ledger"), _run_witness),
     "sweep": _Command("grid sweep over one parameter, CSV out",
                       _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX, ("csv",), _run_sweep),
 }

@@ -1,22 +1,20 @@
 """Finite-resolution witnesses for prescribed (dimension, measure) targets.
 
-Each witness is a list of percolation components, one per axis-aligned cube
-region, whose sequences realize the target analytically:
+A witness is a list of percolation components, one per axis-aligned cube
+region, whose sequences realize the target analytically.  The target's own
+block, chosen by l, sits in [0, b]^n with b = (floor(l)+1)^(1/n):
 
-  target r < n, measure 0          one head-weighted family at p = m^(r - n)
-  target r = n, measure 0          one harmonic family p_k = p^(1/k): p_k -> 1
-                                   but prod p_k = 0
-  measure target l > 0             one telescoping family at p = l/(floor(l)+1),
-                                   scaled into [0, b]^n, b = (floor(l)+1)^(1/n)
-  union                            a measure-0 low-dimension block in the
-                                   translated cube [b, 2b]^n next to the
-                                   case-appropriate block in [0, b]^n
+  r < n, l = 0      one head-weighted family at p = m^(r - n), b = 1
+  r = n, l = 0      one harmonic family p_k = p^(1/k): p_k -> 1 but
+                    prod p_k = 0, b = 1
+  l > 0             one telescoping family at p = l/(floor(l)+1), scaled
+                    into [0, b]^n
 
-The fractional and integer cases share the zero-measure builder, so every
-case meets its target exactly.  build_witness is the one entry point.
-WitnessReport derives the combined values by two exact rules: dimension of a
-finite union is the max over components, and expected measure adds over
-regions with pairwise disjoint interiors.
+and a measure-0 low-dimension block sits beside it in the translated cube
+[b, 2b]^n.  build_witness is the one entry point.  WitnessReport derives the
+combined values by two exact rules: dimension of a finite union is the max
+over components, and expected measure adds over regions with pairwise
+disjoint interiors.
 """
 
 from __future__ import annotations
@@ -27,19 +25,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidParamsError
 from .probseq import ProbSequence
-
-CASE_FRACTIONAL = "fractional_dim_zero_measure"
-CASE_INTEGER = "integer_dim_zero_measure"
-CASE_POSITIVE = "positive_measure"
-CASE_UNION = "dim_measure_union"
-
-# short name -> case; each case also answers to its own name
-_CASES = {
-    "fractional": CASE_FRACTIONAL,
-    "integer": CASE_INTEGER,
-    "positive": CASE_POSITIVE,
-    "union": CASE_UNION,
-}
 
 # the families' shape parameters (a, and the harmonic base p): the predictions
 # do not depend on them, so each value gives a distinct law with the same
@@ -107,14 +92,8 @@ class WitnessSpec:
     l: float
     n: int
     m: int
-    case: str = CASE_UNION
 
     def __post_init__(self):
-        case = str(self.case).strip().lower()
-        case = _CASES.get(case, case)
-        if case not in _CASES.values():
-            raise InvalidParamsError(f"unknown witness case {self.case!r}")
-        object.__setattr__(self, "case", case)
         if self.r <= 0.0:
             raise InvalidParamsError("target dimension r must be positive")
         if self.l < 0.0:
@@ -125,10 +104,6 @@ class WitnessSpec:
             )
         if self.m < 2:
             raise InvalidParamsError("subdivision index m must be >= 2")
-        if self.case == CASE_POSITIVE and self.l <= 0.0:
-            raise InvalidParamsError("positive_measure case needs l > 0")
-        if self.case in (CASE_FRACTIONAL, CASE_INTEGER) and self.l > 0.0:
-            raise InvalidParamsError(f"{self.case} case needs l = 0, got l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +184,8 @@ def _positive(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
     scale = math.floor(l) + 1.0
     p = l / scale
     b = scale ** (1.0 / n)
-    if abs(b**n * p - l) > 1e-9:
+    # relative: b^n * p rounds to within a few ulps of l, at any scale of l
+    if abs(b**n * p - l) > 1e-12 * l:
         raise InternalInvariantError(f"measure scaling drifted: {b**n * p!r} != {l!r}")
     seq = ProbSequence.power_telescope(p, _TELESCOPE_GAP)
     comp = WitnessComponent(
@@ -218,31 +194,19 @@ def _positive(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
     return (comp,)
 
 
-def _union(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
+def build_witness(spec: WitnessSpec) -> WitnessReport:
     """The target's own block in [0, b]^n beside a low block in [b, 2b]^n.
 
+    The own block has dimension r if l = 0 and n otherwise, and measure l;
     b = (floor(l)+1)^(1/n).  The low block has measure 0 and dimension r/2,
     so it never wins the max rule.
     """
     r, l, n = spec.r, spec.l, spec.n
-    comps = _positive(spec) if l > 0.0 else _zero_measure(spec)
+    own = _positive(spec) if l > 0.0 else _zero_measure(spec)
     b = (math.floor(l) + 1.0) ** (1.0 / n)
     low = _head_component(r / 2.0, n, spec.m, Box((b,) * n, b), "low_dim_block")
-    return comps + (low,)
-
-
-_BUILDERS = {
-    CASE_FRACTIONAL: _zero_measure,
-    CASE_INTEGER: _zero_measure,
-    CASE_POSITIVE: _positive,
-    CASE_UNION: _union,
-}
-
-
-def build_witness(spec: WitnessSpec) -> WitnessReport:
-    """The witness for spec's case: dimension r if l = 0 and n otherwise, measure l."""
-    target_dim = float(spec.r) if spec.l == 0 else float(spec.n)
-    return WitnessReport(spec.n, spec.m, _BUILDERS[spec.case](spec), target_dim, float(spec.l))
+    target_dim = float(r) if l == 0 else float(n)
+    return WitnessReport(n, spec.m, own + (low,), target_dim, float(l))
 
 
 # ---------------------------------------------------------------------------

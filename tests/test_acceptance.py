@@ -240,16 +240,16 @@ def test_criterion_7_witness_ledger():
     t0 = time.perf_counter()
     ok = True
     # (r, l) = (0.5, 0)
-    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2))
     ok &= rep.combined_dim == 0.5 and rep.combined_measure == 0.0
     # (1, 0): an integer target at r = n is met exactly
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2))
     ok &= rep.combined_dim == 1.0 and rep.combined_measure == 0.0
     # (1, 1.5)
-    rep15 = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union"))
+    rep15 = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
     ok &= rep15.combined_dim == 1.0 and rep15.combined_measure == 1.5
     # (2, 2.5) in the plane
-    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2))
     ok &= rep.combined_dim == 2.0 and rep.combined_measure == 2.5
 
     # Monte Carlo cross-check on the (1, 1.5) witness

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from perclab import __version__
-from perclab.cli import build_parser, main
+from perclab.cli import _COMMANDS, _pick_format, build_parser, main, resolve_config
 from perclab.estimators import CSV_COLUMNS
 
 
@@ -358,62 +359,77 @@ def test_witness_json(capsys):
 
 
 def test_witness_ledger(capsys):
-    rc, out, _ = run(capsys, "witness", "--r", "0.5", "--n", "1", "--m", "2", "--ledger")
+    rc, out, _ = run(capsys, "witness", "--r", "0.5", "--n", "1", "--m", "2", "--format", "ledger")
     assert rc == 0
     assert "max over components" in out
 
 
 def test_witness_ledger_honours_out(tmp_path, capsys):
-    args = ("witness", "--r", "1.5", "--n", "2", "--ledger")
+    args = ("witness", "--r", "1.5", "--n", "2", "--format", "ledger")
     rc, ledger, _ = run(capsys, *args)
     assert rc == 0
     out_path = tmp_path / "w.txt"
     rc, out, err = run(capsys, *args, "--out", str(out_path))
     assert rc == 0 and out == ""
     assert out_path.read_text() == ledger
-    assert err.startswith("witness case=")
+    assert err.startswith("witness: combined_dim=")
     assert not list(tmp_path.glob(".perclab-tmp-*"))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_witness_ledger_refuses_an_explicit_format(tmp_path, capsys, fmt):
-    # --ledger picks the text ledger; a --format beside it names another output
-    args = ("witness", "--r", "1.5", "--n", "2", "--ledger", "--format", fmt)
-    assert_config_error(*run(capsys, *args, "--out", str(tmp_path / "w.txt")))
-    assert not list(tmp_path.iterdir())
-    fields = {"r": 1.5, "n": 2, "ledger": True, "format": fmt}
-    assert_config_error(*run_config(tmp_path, capsys, "witness", fields))
+def test_witness_ledger_from_the_out_extension(tmp_path, capsys):
+    rc, ledger, _ = run(capsys, "witness", "--r", "1.5", "--n", "2", "--format", "ledger")
+    assert rc == 0
+    out_path = tmp_path / "w.ledger"
+    rc, out, _ = run(capsys, "witness", "--r", "1.5", "--n", "2", "--out", str(out_path))
+    assert rc == 0 and out == ""
+    assert out_path.read_text() == ledger
+
+
+@pytest.mark.parametrize("flag", [("--case", "union"), ("--ledger",)], ids=["case", "ledger"])
+def test_witness_removed_flags_exit_2(capsys, flag):
+    rc, out, err = run(capsys, "witness", "--r", "1.5", "--n", "2", *flag)
+    assert rc == 2 and out == ""
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("fields", [{"case": "union"}, {"ledger": True}], ids=["case", "ledger"])
+def test_witness_removed_config_fields_exit_2(tmp_path, capsys, fields):
+    rc, out, err = run_config(tmp_path, capsys, "witness", fields, "--r", "1.5", "--n", "2")
+    assert_config_error(rc, out, err)
+    assert "unknown config fields" in err
+
+
+def test_dims_refuses_the_ledger_format(capsys):
+    assert_config_error(*run(capsys, "dims", "--family", "mfp", "--p", "0.9", "--format", "ledger"))
 
 
 @pytest.mark.parametrize(
     "args, digest",
     [
-        (("--case", "fractional", "--r", "0.5", "--n", "1", "--m", "3"),
-         "9c204e162abac7214aacf6299365e28bfaa1e12bddcfc261cd4bc737127496e6"),
-        (("--case", "integer", "--r", "1", "--n", "1", "--m", "2"),
-         "1eb12f51922eb4a6e4dc3af855619a4ac845f61b215b0cf5496f7a315fbb4d6e"),
-        (("--case", "positive", "--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
-         "51f71f7afad566d19fd501a7f33a2336a71c2b91771b745d1e0170d3b52a254b"),
+        (("--r", "0.5", "--n", "1", "--m", "3"),
+         "30f9dcd764d8611ccb36622642408512ec52ee71556d29776638e5128cdb0b29"),
+        (("--r", "1", "--n", "1", "--m", "2"),
+         "cfc4426d412c6d88fa05b7228aa522c017e772b90393ef0a30b3b71e62bacfe1"),
+        (("--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
+         "a058cd56fc5f95a68981ecffd06b226e805895f2090f8f4a0f79f5e1f54d7d02"),
         (("--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
-         "79abebec1f3970f3fa66734f753a4202f88d88a0ec08ddaf0ce420b204abdf5d"),
+         "306f259267e8032a850debbb3d7cc4fa31a796609025c4c0cd7c53800490c8a2"),
     ],
+    ids=["r0.5-l0-n1-m3", "r1-l0-n1-m2", "r1-l2.5-n1-m2", "r1-l1.5-n1-m2"],
 )
 def test_witness_json_pinned_digest(capsys, args, digest):
-    # sha256 of stdout: pins each case's components, regions, sequences, the
+    # sha256 of stdout: pins each target's components, regions, sequences, the
     # combined ledger and the target together
     rc, out, _ = run(capsys, "witness", *args)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("case, r", [("fractional", "0.5"), ("integer", "1")])
-def test_witness_measure_for_a_zero_measure_case_exit_3(capsys, case, r):
-    # the zero-measure cases cannot carry l > 0: refused, not silently dropped
-    rc, out, err = run(capsys, "witness", "--case", case, "--r", r, "--l", "1.5", "--n", "1", "--m", "2")
-    assert rc == 3 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InvalidParamsError"
-    assert "l = 0" in payload["message"]
+def test_witness_large_measure_target(capsys):
+    # b^n * p rounds to l only up to a few ulps, which exceed any fixed absolute bound
+    rc, out, _ = run(capsys, "witness", "--r", "1", "--l", "1e9", "--n", "3")
+    assert rc == 0
+    assert json.loads(out)["result"]["combined_measure"] == 1e9
 
 
 # -- sweep -------------------------------------------------------------------------------
@@ -520,7 +536,7 @@ HUGE = "1" + "0" * 400  # an integer no float can hold
     "argv",
     [
         ("dims", "--family", "mfp", "--p", "0.5", "--n", HUGE),
-        ("witness", "--case", "integer", "--r", "1", "--n", "2", "--m", HUGE),
+        ("witness", "--format", "ledger", "--r", "1", "--n", "2", "--m", HUGE),
     ],
 )
 def test_integer_too_large_for_a_float_exit_3(capsys, argv):
@@ -682,7 +698,7 @@ def test_budget_error_exit_4(capsys):
     [
         ("dims", "--family", "mfp", "--p", "0.9", "--n", "2"),
         ("render", "--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "3"),
-        ("witness", "--r", "1.5", "--n", "2", "--ledger"),
+        ("witness", "--r", "1.5", "--n", "2", "--format", "ledger"),
     ],
     ids=["json", "pgm", "ledger"],
 )
@@ -824,7 +840,7 @@ _SEQ_FLAGS = {
 }
 _IO_FLAGS = {
     (("-h", "--help"), "help", None), (("--config",), "config", None), (("--out",), "out", None),
-    (("--format",), "format", ("json", "csv", "pgm")),
+    (("--format",), "format", ("json", "csv", "pgm", "ledger")),
 }
 _SIM_FLAGS = {(("--budget",), "budget", None), (("--depth",), "depth", None), (("--seed",), "seed", None)}
 _EST_FLAGS = {(("--reps",), "replicates", None), (("--threads",), "threads", None)}
@@ -846,7 +862,6 @@ SURFACE = {
     "boxdim": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _BOX_FLAGS,
     "witness": _IO_FLAGS | {
         (("--n",), "n", None), (("--m",), "m", None), (("--r",), "r", None), (("--l",), "l", None),
-        (("--case",), "case", None), (("--ledger",), "ledger", None),
     },
     "sweep": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _WINDOW_FLAGS | _BOX_FLAGS | {
         (("--quantity",), "quantity", ("survival", "measure", "boxdim", "dims")),
@@ -865,6 +880,20 @@ def test_cli_surface_unchanged():
             for a in subparser._actions
         }
         assert got == SURFACE[command], command
+
+
+def test_readme_command_lines_resolve():
+    # every `perclab …` line of the README's "Command line" block is parsed,
+    # resolved and given a format, but not run: a flag the CLI dropped or
+    # renamed fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("perclab ")]
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    for argv in argvs:
+        cfg = resolve_config(build_parser().parse_args(argv))
+        _pick_format(cfg, _COMMANDS[cfg["command"]])
 
 
 # -- config typing ---------------------------------------------------------------------------
@@ -888,7 +917,7 @@ def assert_config_error(rc, out, err):
     [
         ("generate", {"family": "mfp", "p": 0.5, "depth": 4.9}),  # once truncated to 4
         ("generate", {"family": "mfp", "p": 0.5, "seed": 1.5}),  # once truncated to 1
-        ("witness", {"r": 0.5, "ledger": "false"}),  # once printed the ledger
+        ("witness", {"r": 0.5, "l": True}),  # a boolean is not a number
         ("dims", {"family": "mfp", "p": 0.5, "n": True}),
         ("dims", {"family": "mfp", "p": "abc"}),  # once a domain error, exit 3
         ("dims", {"family": "mfp", "p": 0.5, "method": "bogus"}),  # once a domain error, exit 3
@@ -945,7 +974,7 @@ def test_witness_ignores_config_depth(tmp_path, capsys):
 
 def test_witness_has_no_terms_option(tmp_path, capsys):
     # integer targets are exact, so there is no union to truncate
-    args = ("witness", "--case", "integer", "--r", "1", "--n", "1", "--m", "2")
+    args = ("witness", "--format", "ledger", "--r", "1", "--n", "1", "--m", "2")
     rc, out, err = run(capsys, *args, "--terms", "4")
     assert rc == 2 and out == ""
     assert "--terms" in err

@@ -1,5 +1,6 @@
 """Witness constructions: exact targets, disjoint placement, a Monte Carlo cross-check."""
 
+import dataclasses
 import math
 
 import pytest
@@ -22,35 +23,36 @@ from perclab import (
 )
 
 
-# -- fractional case ---------------------------------------------------------------
+# -- fractional targets ------------------------------------------------------------
 
 
 def test_fractional_half_line():
-    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="fractional"))
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2))
     assert rep.combined_dim == 0.5
     assert rep.combined_measure == 0.0
-    (comp,) = rep.components
+    comp = rep.components[0]
+    assert [c.label for c in rep.components] == ["dim_carrier", "low_dim_block"]
     assert comp.seq.p == pytest.approx(2.0**-0.5, rel=1e-15)
 
 
 def test_fractional_plane():
-    rep = build_witness(WitnessSpec(r=1.5, l=0.0, n=2, m=3, case="fractional"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=1.5, l=0.0, n=2, m=3))
+    comp = rep.components[0]
     assert comp.seq.p == pytest.approx(3.0**-0.5, rel=1e-15)
     assert rep.combined_dim == 1.5
 
 
 def test_fractional_needs_room():
     with pytest.raises(InvalidParamsError):
-        build_witness(WitnessSpec(r=1.5, l=0.0, n=1, m=2, case="fractional"))
+        build_witness(WitnessSpec(r=1.5, l=0.0, n=1, m=2))
 
 
 # -- integer targets ------------------------------------------------------------------
 
 
 def test_integer_below_n_is_one_head_block():
-    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=2, case="integer"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=2))
+    comp = rep.components[0]
     assert comp.label == "dim_carrier"
     assert comp.seq.kind == "power_head"
     assert comp.seq.p == 0.5
@@ -60,23 +62,16 @@ def test_integer_below_n_is_one_head_block():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_integer_at_n_is_one_harmonic_block(n):
-    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=2, case="integer"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=2))
+    comp = rep.components[0]
     assert comp.seq.kind == "power_harmonic"
     assert comp.region == Box((0.0,) * n, 1.0)
     assert rep.combined_dim == rep.target_dim == n
     assert rep.combined_measure == 0.0
 
 
-def test_fractional_and_integer_share_one_builder():
-    for r, n in [(0.5, 1), (1.0, 1), (1.0, 2), (2.5, 3)]:
-        a = build_witness(WitnessSpec(r=r, l=0.0, n=n, m=3, case="fractional"))
-        b = build_witness(WitnessSpec(r=r, l=0.0, n=n, m=3, case="integer"))
-        assert a.components == b.components
-
-
 def test_integer_union_regions_disjoint():
-    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3, case="union"))
+    rep = build_witness(WitnessSpec(r=2.0, l=0.0, n=2, m=3))
     boxes = [c.region for c in rep.components]
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -87,8 +82,9 @@ def test_integer_union_regions_disjoint():
 
 
 def test_positive_measure_line():
-    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
+    comp, low = rep.components
+    assert (comp.label, low.label) == ("measure_carrier", "low_dim_block")
     assert comp.seq.p == 0.75
     assert comp.region.side == 2.0
     assert rep.combined_measure == 1.5
@@ -96,24 +92,19 @@ def test_positive_measure_line():
 
 
 def test_positive_measure_small_plane():
-    rep = build_witness(WitnessSpec(r=2.0, l=0.25, n=2, m=2, case="positive"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=2.0, l=0.25, n=2, m=2))
+    comp = rep.components[0]
     assert comp.seq.p == 0.25
     assert comp.region.side == 1.0
     assert rep.combined_measure == 0.25
     assert rep.combined_dim == 2.0
 
 
-def test_positive_measure_rejects_zero():
-    with pytest.raises(InvalidParamsError):
-        build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="positive"))
-
-
 # -- union construction ----------------------------------------------------------------
 
 
 def test_union_fractional_target():
-    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2))
     assert rep.combined_dim == 0.5
     assert rep.combined_measure == 0.0
     labels = [c.label for c in rep.components]
@@ -124,7 +115,7 @@ def test_union_fractional_target():
 
 
 def test_union_positive_measure_target():
-    rep = build_witness(WitnessSpec(r=1.0, l=2.5, n=1, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=1.0, l=2.5, n=1, m=2))
     assert rep.combined_dim == 1.0  # positive measure forces full dimension
     assert rep.combined_measure == 2.5
     carrier = next(c for c in rep.components if c.label == "measure_carrier")
@@ -135,7 +126,7 @@ def test_union_positive_measure_target():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_union_integer_target_is_exact(n):
-    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=3, case="union"))
+    rep = build_witness(WitnessSpec(r=float(n), l=0.0, n=n, m=3))
     assert rep.combined_dim == n
     assert rep.combined_measure == 0.0
     carrier = next(c for c in rep.components if c.label == "dim_carrier")
@@ -147,7 +138,7 @@ def test_union_integer_target_is_exact(n):
 
 
 def test_union_square_with_measure():
-    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2))
     assert rep.combined_dim == 2.0
     assert rep.combined_measure == 2.5
     carrier = next(c for c in rep.components if c.label == "measure_carrier")
@@ -158,31 +149,25 @@ def test_spec_validation():
     with pytest.raises(InvalidParamsError):
         WitnessSpec(r=1.5, l=0.0, n=1, m=2)  # n < ceil(r)
     with pytest.raises(InvalidParamsError):
-        WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="positive")
-    with pytest.raises(InvalidParamsError):
         WitnessSpec(r=0.0, l=0.0, n=1, m=2)
     with pytest.raises(InvalidParamsError):
         WitnessSpec(r=1.0, l=-1.0, n=1, m=2)
-    with pytest.raises(InvalidParamsError):
-        WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="nope")
 
 
-@pytest.mark.parametrize("case", ["fractional", "integer", "fractional_dim_zero_measure"])
-def test_spec_rejects_measure_for_zero_measure_cases(case):
-    with pytest.raises(InvalidParamsError, match="l = 0"):
-        WitnessSpec(r=1.0, l=1.5, n=2, m=2, case=case)
-
-
-def test_spec_case_accepts_short_and_long_names():
-    assert WitnessSpec(r=0.5, l=0.0, n=1, m=2, case=" Fractional ").case == "fractional_dim_zero_measure"
-    assert WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="dim_measure_union").case == "dim_measure_union"
+def test_spec_fields_are_the_theorems_inputs():
+    assert [f.name for f in dataclasses.fields(WitnessSpec)] == ["r", "l", "n", "m"]
 
 
 def test_build_witness_dispatch():
-    assert build_witness(WitnessSpec(r=0.5, l=0, n=1, m=2, case="fractional")).combined_dim == 0.5
-    assert build_witness(WitnessSpec(r=1, l=0, n=1, m=2, case="integer")).combined_dim == 1.0
-    assert build_witness(WitnessSpec(r=1, l=1.5, n=1, m=2, case="positive")).combined_measure == 1.5
+    # l picks the target's own block; the low block always follows it
+    def labels(spec):
+        return [c.label for c in build_witness(spec).components]
+
+    assert build_witness(WitnessSpec(r=0.5, l=0, n=1, m=2)).combined_dim == 0.5
+    assert build_witness(WitnessSpec(r=1, l=0, n=1, m=2)).combined_dim == 1.0
     assert build_witness(WitnessSpec(r=1, l=1.5, n=1, m=2)).combined_measure == 1.5
+    assert labels(WitnessSpec(r=1, l=0, n=1, m=2)) == ["dim_carrier", "low_dim_block"]
+    assert labels(WitnessSpec(r=1, l=1.5, n=1, m=2)) == ["measure_carrier", "low_dim_block"]
 
 
 # -- agreement with the dimension module -------------------------------------------------
@@ -191,12 +176,12 @@ def test_build_witness_dispatch():
 @pytest.mark.parametrize(
     "report,n,m",
     [
-        (build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2, case="fractional")), 1, 2),
-        (build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2, case="integer")), 1, 2),
-        (build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive")), 1, 2),
-        (build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2, case="union")), 2, 2),
-        (build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=3, case="integer")), 2, 3),
-        (build_witness(WitnessSpec(r=3.0, l=0.0, n=3, m=2, case="union")), 3, 2),
+        (build_witness(WitnessSpec(r=0.5, l=0.0, n=1, m=2)), 1, 2),
+        (build_witness(WitnessSpec(r=1.0, l=0.0, n=1, m=2)), 1, 2),
+        (build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2)), 1, 2),
+        (build_witness(WitnessSpec(r=2.0, l=2.5, n=2, m=2)), 2, 2),
+        (build_witness(WitnessSpec(r=1.0, l=0.0, n=2, m=3)), 2, 3),
+        (build_witness(WitnessSpec(r=3.0, l=0.0, n=3, m=2)), 3, 2),
     ],
 )
 def test_components_agree_with_dimension_reports(report, n, m):
@@ -207,24 +192,17 @@ def test_components_agree_with_dimension_reports(report, n, m):
 
 
 def test_combined_rules_exact():
-    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union"))
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
     assert rep.combined_dim == max(c.predicted_dim for c in rep.components)
     assert rep.combined_measure == sum(c.predicted_measure for c in rep.components)
 
 
 @st.composite
 def witness_specs(draw):
-    case = draw(st.sampled_from(["fractional", "integer", "positive", "union"]))
     n = draw(st.integers(1, 3))
-    if case == "integer":
-        r = float(draw(st.integers(1, n)))
-    else:
-        r = draw(st.one_of(st.integers(1, n).map(float), st.floats(0.01, float(n))))
-    measures = st.floats(0.01, 20.0)
-    if case == "union":
-        measures = st.one_of(st.just(0.0), measures)
-    l = draw(measures) if case in ("positive", "union") else 0.0
-    return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)), case=case)
+    r = draw(st.one_of(st.integers(1, n).map(float), st.floats(0.01, float(n))))
+    l = draw(st.one_of(st.just(0.0), st.floats(0.01, 1e12)))
+    return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,8 +239,8 @@ def test_boxes_that_share_a_face_do_not_overlap():
 
 def test_monte_carlo_cross_check_positive_measure():
     # scaled estimate must reproduce l times the finite-depth deficit
-    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="positive"))
-    (comp,) = rep.components
+    rep = build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2))
+    comp = rep.components[0]
     params = PercolationParams(1, 2, 12, comp.seq, seed=55)
     est = estimate_measure(params, 1000)
     assert abs(est.z_score) < 4
@@ -275,7 +253,7 @@ def test_monte_carlo_cross_check_positive_measure():
 
 
 def test_ledger_mentions_rules_and_components():
-    text = format_witness_ledger(build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2, case="union")))
+    text = format_witness_ledger(build_witness(WitnessSpec(r=1.0, l=1.5, n=1, m=2)))
     assert "max over components" in text
     assert "sum over disjoint regions" in text
     assert "measure_carrier" in text
