@@ -128,6 +128,7 @@ CONFIG_CALLS = [
     # values whose type the CLI fixes at the boundary
     ("generate", {"family": "mfp", "p": "0.5", "m": "3", "depth": 8.0}, ()),
     ("generate", {"family": "mfp", "p": 0.5, "seed": "18446744073709551615"}, ()),
+    # a field of another command, refused like its flag
     ("witness", {"depth": 0}, ("--r", "1.5", "--n", "2")),
     # invalid config files
     ("generate", {"family": "mfp", "p": 0.5, "depth": 4.9}, ()),

@@ -2,16 +2,19 @@
 
 Precedence is flags > config file > defaults.  Each option is declared once
 in ``_OPTIONS``, whose parser types its value once, from either source.
-Each subcommand is declared once in ``_COMMANDS``: its help, its flags, the
-formats it writes (the first is the default) and its runner.  ``main``
-picks the format (``--format``, else the ``--out`` extension, else the
-default; ``witness --format ledger`` writes the text ledger) and checks
+Each subcommand is declared once in ``_COMMANDS``: its help, its fields,
+the formats it writes (the first is the default) and its runner.  Its
+fields with ``out`` and ``format`` are its whole input surface: its flags,
+the fields its config file may hold and its echoed config.  Argparse only
+collects strings; ``resolve_config`` and ``_pick_format`` check each value
+and choice once, whichever source gave it.  ``main`` picks the format
+(``--format``, else the ``--out`` extension, else the default) and checks
 that ``--out`` can be written before any work; the runner returns its
-payload in that format and a summary line for stderr; ``_emit`` writes the payload (JSON, CSV, PGM with a provenance line
-on stdout, or the witness ledger), atomically to ``--out`` (temp file +
-rename) or to stdout.  Every run echoes the fully resolved configuration
-(and the tool version) alongside its results, so a saved output is a
-complete recipe for reproducing itself.
+payload in that format and a summary line for stderr; ``_emit`` writes it
+(JSON, CSV, PGM with a provenance line on stdout, or the witness ledger),
+atomically to ``--out`` (temp file + rename) or to stdout.  Every run
+echoes its resolved configuration (and the tool version) alongside its
+results, so a saved output is a complete recipe for reproducing itself.
 Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
 them), 3 domain errors, 4 budget errors; failures print one machine
 readable JSON line on stderr.
@@ -144,15 +147,19 @@ class _Option(NamedTuple):
 
 class _Command(NamedTuple):
     help: str
-    fields: tuple[str, ...]  # flags after --out and --format
+    fields: tuple[str, ...]  # fields after out and format
     formats: tuple[str, ...]  # the first is the default
     run: Callable  # (cfg, fmt) -> (payload in fmt, stderr summary line)
+
+    @property
+    def options(self) -> tuple[str, ...]:  # its flags, its config fields and its echoed keys
+        return ("out", "format") + self.fields
 
 
 # every config field, keyed by name; a config file uses the same names
 _OPTIONS = {
     "out": _Option("--out", _text, None, "output path (stdout when omitted; required for pgm)"),
-    "format": _Option("--format", _text, None, "output format", ("json", "csv", "pgm", "ledger")),
+    "format": _Option("--format", _text, None, "output format"),  # each command's own formats
     "family": _Option("--family", _text, None,
                       "mfp | power | power_head | power_harmonic | power_telescope | explicit"),
     "p": _Option("--p", _real, None, "base probability"),
@@ -196,10 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     for command, spec in _COMMANDS.items():
         cmd = sub.add_parser(command, help=spec.help)
         cmd.add_argument("--config", help="JSON config file; flags override its fields")
-        for field in ("out", "format") + spec.fields:
+        for field in spec.options:
             opt = _OPTIONS[field]
-            # flags stay strings here; resolve_config types them with the file's values
-            cmd.add_argument(opt.flag, dest=field, choices=opt.choices, help=opt.help)
+            choices = spec.formats if field == "format" else opt.choices
+            # flags stay strings and their choices are only shown here;
+            # resolve_config and _pick_format check them with the file's values
+            cmd.add_argument(opt.flag, dest=field, metavar=choices and "{" + ",".join(choices) + "}",
+                             help=opt.help)
     return parser
 
 
@@ -217,21 +227,22 @@ def _read_config(path: str, command: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(loaded) - set(_OPTIONS) - {"command"}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     file_cmd = loaded.pop("command", None)
     if file_cmd is not None and file_cmd != command:
         raise ConfigError(f"config file names command {file_cmd!r} but {command!r} was invoked")
+    unknown = set(loaded) - set(_COMMANDS[command].options)
+    if unknown:
+        raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
     return loaded
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Flags over config file over defaults, every field typed by its parser."""
+    """The command's fields: flags over config file over defaults, each typed and checked once."""
     given = _read_config(args.config, args.command) if args.config else {}
     given.update((field, value) for field, value in vars(args).items() if value is not None)
     cfg = {"command": args.command}
-    for field, opt in _OPTIONS.items():
+    for field in _COMMANDS[args.command].options:
+        opt = _OPTIONS[field]
         value = opt.default if given.get(field) is None else given[field]
         if value is not None:
             try:
@@ -366,8 +377,8 @@ def _run_dims(cfg: dict, fmt: str):
     if fmt == "json":
         payload = rep.to_dict()
     else:
-        payload = [csv_row("dims", None, *_family_label(cfg), None, rep.hausdorff, 0.0, rep.hausdorff, None,
-                           n=rep.n, m=rep.m)]
+        payload = [csv_row("dims", rep.n, rep.m, None, *_family_label(cfg), None, rep.hausdorff, 0.0,
+                           rep.hausdorff, None)]
     return payload, (
         f"dims {cfg['family']} n={cfg['n']} m={cfg['m']}: hausdorff={rep.hausdorff:.6g} "
         f"packing={rep.packing:.6g} assouad={rep.assouad:.6g} measure={rep.expected_measure:.6g} "
@@ -412,8 +423,8 @@ def _run_estimate(cfg: dict, fmt: str):
     if fmt == "json":
         payload = rep.to_dict()
     else:
-        payload = [csv_row(rep.quantity, params, *_family_label(cfg), rep.replicates,
-                           rep.estimate, rep.std_error, rep.theory, rep.z_score)]
+        payload = [csv_row(rep.quantity, params.n, params.m, params.depth, *_family_label(cfg),
+                           rep.replicates, rep.estimate, rep.std_error, rep.theory, rep.z_score)]
     theory = "n/a" if rep.theory is None else f"{rep.theory:.6g}"
     return payload, (
         f"{cfg['command']} {cfg['family']} n={params.n} m={params.m} K={params.depth} R={rep.replicates}: "
@@ -428,8 +439,9 @@ def _run_boxdim(cfg: dict, fmt: str):
         payload = rep.to_dict()
     else:
         theory = None if params.seq.limit is None else full_report(params.seq, params.n, params.m).hausdorff
-        payload = [csv_row(QUANTITY_BOXDIM, params, *_family_label(cfg), rep.replicates_used, rep.slope,
-                           rep.slope_std_error, theory, _z_score(rep.slope, theory, rep.slope_std_error))]
+        payload = [csv_row(QUANTITY_BOXDIM, params.n, params.m, params.depth, *_family_label(cfg),
+                           rep.replicates_used, rep.slope, rep.slope_std_error, theory,
+                           _z_score(rep.slope, theory, rep.slope_std_error))]
     return payload, (
         f"boxdim {cfg['family']} n={params.n} m={params.m} K={params.depth}: "
         f"slope={rep.slope:.6g} r2={rep.r_squared:.4f} attempts={rep.attempts}"

@@ -30,7 +30,7 @@ class BudgetExceededError(PercLabError):
 
 
 class AllExtinctError(PercLabError):
-    """No replicate survived within the attempt budget of a conditioned estimator."""
+    """Fewer replicates than asked survived within the attempt budget of a conditioned estimator."""
 
 
 class UnsupportedDimensionError(PercLabError):

@@ -210,12 +210,13 @@ def estimate_boxdim(
 
     Conditioning is by rejection: realizations are drawn on consecutive
     streams until ``replicates`` of them survive to depth K, within a total
-    budget of max_attempts * replicates draws.  Levels below fit_levels[0]
-    (default 3) are discarded to reduce transient bias.
+    budget of max_attempts * replicates draws, else ``AllExtinctError``.
+    Levels below fit_levels[0] (default 3) are discarded to reduce
+    transient bias.
 
     ``threads`` has no effect.  It stays in the signature only because
     perfbench's boxdim observer reads it from the bound arguments; ROADMAP
-    item 7's benchmark change removes both.
+    item 10's benchmark change removes both.
     """
     if replicates < 1:
         raise InvalidParamsError("need at least 1 surviving replicate")
@@ -239,9 +240,9 @@ def estimate_boxdim(
             surviving.append(counts)
             if len(surviving) == replicates:
                 break
-    if not surviving:
+    if len(surviving) < replicates:
         raise AllExtinctError(
-            f"no replicate survived to depth {K} within {budget} attempts"
+            f"{len(surviving)} of {replicates} replicates survived to depth {K} within {budget} attempts"
         )
 
     slopes, intercepts, r2s = [], [], []
@@ -282,27 +283,13 @@ def format_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def csv_row(
-    quantity: str,
-    params: PercolationParams | None,
-    family: str,
-    family_params: str,
-    replicates,
-    estimate,
-    std_error,
-    theory,
-    z_score,
-    n=None,
-    m=None,
-    depth=None,
-) -> list[str]:
-    n = params.n if params is not None else n
-    m = params.m if params is not None else m
-    depth = params.depth if params is not None else depth
+def csv_row(quantity: str, n: int, m: int, depth: int | None, family: str, family_params: str,
+            replicates, estimate, std_error, theory, z_score) -> list[str]:
+    """One row in ``CSV_COLUMNS`` order; ``depth`` and ``replicates`` are None only for ``dims``."""
     return [
         quantity,
-        "" if n is None else str(n),
-        "" if m is None else str(m),
+        str(n),
+        str(m),
         "" if depth is None else str(depth),
         family,
         family_params,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from perclab import __version__
-from perclab.cli import _COMMANDS, _pick_format, build_parser, main, resolve_config
+from perclab.cli import _COMMANDS, _OPTIONS, _pick_format, build_parser, main, resolve_config
 from perclab.estimators import CSV_COLUMNS
 
 
@@ -407,13 +407,13 @@ def test_dims_refuses_the_ledger_format(capsys):
     "args, digest",
     [
         (("--r", "0.5", "--n", "1", "--m", "3"),
-         "30f9dcd764d8611ccb36622642408512ec52ee71556d29776638e5128cdb0b29"),
+         "3f6665706dd29f6a4bff09ced519d1fd59044fa90744c1734cb7921193cdd964"),
         (("--r", "1", "--n", "1", "--m", "2"),
-         "cfc4426d412c6d88fa05b7228aa522c017e772b90393ef0a30b3b71e62bacfe1"),
+         "01cd4c02508c38e9308fddbbc18e99c3af9cf3b7ad721dd88de1dfb7b38baf37"),
         (("--r", "1", "--l", "2.5", "--n", "1", "--m", "2"),
-         "a058cd56fc5f95a68981ecffd06b226e805895f2090f8f4a0f79f5e1f54d7d02"),
+         "fd426005c55980157f22e4e3b27002e7eb0c6064fe411c5cc2b202ef44c444b7"),
         (("--r", "1", "--l", "1.5", "--n", "1", "--m", "2"),
-         "306f259267e8032a850debbb3d7cc4fa31a796609025c4c0cd7c53800490c8a2"),
+         "882444220c5770edaedc30700dec3e7467da7a39fe6f7d325fc98f5bd95fc2fd"),
     ],
     ids=["r0.5-l0-n1-m3", "r1-l0-n1-m2", "r1-l2.5-n1-m2", "r1-l1.5-n1-m2"],
 )
@@ -838,33 +838,38 @@ _SEQ_FLAGS = {
     (("--n",), "n", None), (("--p",), "p", None), (("--prefix",), "prefix", None),
     (("--tail",), "tail", None),
 }
-_IO_FLAGS = {
-    (("-h", "--help"), "help", None), (("--config",), "config", None), (("--out",), "out", None),
-    (("--format",), "format", ("json", "csv", "pgm", "ledger")),
-}
+_IO_FLAGS = {(("-h", "--help"), "help", None), (("--config",), "config", None), (("--out",), "out", None)}
 _SIM_FLAGS = {(("--budget",), "budget", None), (("--depth",), "depth", None), (("--seed",), "seed", None)}
 _EST_FLAGS = {(("--reps",), "replicates", None), (("--threads",), "threads", None)}
 _WINDOW_FLAGS = {
     (("--window",), "window", None),
-    (("--method",), "method", ("auto", "analytic", "windowed")),
+    (("--method",), "method", "{auto,analytic,windowed}"),
 }
 _BOX_FLAGS = {(("--fit",), "fit", None), (("--max-attempts",), "max_attempts", None)}
 _STREAM_FLAGS = {(("--stream",), "stream", None)}
 
-# every subcommand's (option strings, dest, choices), as the CLI has always declared them
+
+def _format(*formats):
+    return {(("--format",), "format", "{" + ",".join(formats) + "}")}
+
+
+# every subcommand's (option strings, dest, metavar): the metavar shows a
+# flag's choices, and each --format lists only its command's own formats
 SURFACE = {
-    "dims": _IO_FLAGS | _SEQ_FLAGS | _WINDOW_FLAGS,
-    "classify": _IO_FLAGS | _SEQ_FLAGS | _WINDOW_FLAGS,
-    "generate": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS,
-    "render": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS | {(("--level",), "level", None)},
-    "measure": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
-    "survival": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
-    "boxdim": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _BOX_FLAGS,
-    "witness": _IO_FLAGS | {
+    "dims": _IO_FLAGS | _format("json", "csv") | _SEQ_FLAGS | _WINDOW_FLAGS,
+    "classify": _IO_FLAGS | _format("json") | _SEQ_FLAGS | _WINDOW_FLAGS,
+    "generate": _IO_FLAGS | _format("json") | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS,
+    "render": _IO_FLAGS | _format("pgm") | _SEQ_FLAGS | _SIM_FLAGS | _STREAM_FLAGS
+    | {(("--level",), "level", None)},
+    "measure": _IO_FLAGS | _format("json", "csv") | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
+    "survival": _IO_FLAGS | _format("json", "csv") | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS,
+    "boxdim": _IO_FLAGS | _format("json", "csv") | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _BOX_FLAGS,
+    "witness": _IO_FLAGS | _format("json", "ledger") | {
         (("--n",), "n", None), (("--m",), "m", None), (("--r",), "r", None), (("--l",), "l", None),
     },
-    "sweep": _IO_FLAGS | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _WINDOW_FLAGS | _BOX_FLAGS | {
-        (("--quantity",), "quantity", ("survival", "measure", "boxdim", "dims")),
+    "sweep": _IO_FLAGS | _format("csv") | _SEQ_FLAGS | _SIM_FLAGS | _EST_FLAGS | _WINDOW_FLAGS | _BOX_FLAGS
+    | {
+        (("--quantity",), "quantity", "{survival,measure,boxdim,dims}"),
         (("--p-grid",), "p_grid", None), (("--a-grid",), "a_grid", None),
     },
 }
@@ -875,25 +880,42 @@ def test_cli_surface_unchanged():
     sub = next(action for action in parser._actions if action.dest == "command")
     assert set(sub.choices) == set(SURFACE)
     for command, subparser in sub.choices.items():
-        got = {
-            (tuple(a.option_strings), a.dest, tuple(a.choices) if a.choices else None)
-            for a in subparser._actions
-        }
+        got = {(tuple(a.option_strings), a.dest, a.metavar) for a in subparser._actions}
         assert got == SURFACE[command], command
+        # argparse only collects strings; resolve_config and _pick_format check the choices
+        assert all(a.choices is None for a in subparser._actions), command
 
 
-def test_readme_command_lines_resolve():
+def test_readme_command_lines_resolve(tmp_path):
     # every `perclab …` line of the README's "Command line" block is parsed,
     # resolved and given a format, but not run: a flag the CLI dropped or
     # renamed fails here
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     argvs = [shlex.split(line)[1:] for line in lines if line.startswith("perclab ")]
     assert {argv[0] for argv in argvs} == set(_COMMANDS)
     for argv in argvs:
         cfg = resolve_config(build_parser().parse_args(argv))
         _pick_format(cfg, _COMMANDS[cfg["command"]])
+    # every JSON config example of the Configuration paragraph is read and
+    # resolved for its command: a field that command does not take fails here
+    paragraph = section.split("\nConfiguration:", 1)[1].split("\n\n", 1)[0]
+    examples = []
+    for span in paragraph.replace("\n", " ").split("`")[1::2]:
+        try:
+            example = json.loads(span)
+        except ValueError:
+            continue
+        if isinstance(example, dict):
+            examples.append(example)
+    assert examples
+    path = tmp_path / "cfg.json"
+    for example in examples:
+        path.write_text(json.dumps(example))
+        cfg = resolve_config(build_parser().parse_args([example["command"], "--config", str(path)]))
+        assert {k: cfg[k] for k in example} == example
 
 
 # -- config typing ---------------------------------------------------------------------------
@@ -966,10 +988,10 @@ def test_config_full_width_seed_round_trips(tmp_path, capsys, seed):
 
 
 def test_witness_ignores_config_depth(tmp_path, capsys):
-    # witness takes no --depth; a config file's depth must not reach the witness build
-    rc, out, _ = run_config(tmp_path, capsys, "witness", {"depth": 0}, "--r", "1.5", "--n", "2")
-    assert rc == 0
-    assert json.loads(out)["result"]["combined_dim"] == 1.5
+    # witness takes no --depth, so a config file may not hold one either
+    rc, out, err = run_config(tmp_path, capsys, "witness", {"depth": 0}, "--r", "1.5", "--n", "2")
+    assert_config_error(rc, out, err)
+    assert "'depth'" in err
 
 
 def test_witness_has_no_terms_option(tmp_path, capsys):
@@ -979,3 +1001,74 @@ def test_witness_has_no_terms_option(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert "--terms" in err
     assert_config_error(*run_config(tmp_path, capsys, "witness", {"terms": 4}, *args[1:]))
+
+
+# -- each command's own fields ---------------------------------------------------------------
+
+# one small run per subcommand; render's --out is filled in per test
+RUNS = {
+    "dims": ("--family", "mfp", "--p", "0.9", "--n", "2", "--m", "2"),
+    "classify": ("--family", "power_telescope", "--p", "0.5", "--a", "0.2"),
+    "generate": ("--family", "mfp", "--p", "0.8", "--n", "2", "--depth", "4", "--seed", "7"),
+    "render": ("--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "3", "--seed", "7"),
+    "measure": ("--family", "power_telescope", "--p", "0.5", "--a", "0.5", "--depth", "5", "--reps", "100"),
+    "survival": ("--family", "mfp", "--p", "0.8", "--depth", "5", "--reps", "100", "--format", "csv"),
+    "boxdim": ("--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "5", "--reps", "3", "--fit", "1:5"),
+    "witness": ("--r", "1", "--l", "1.5"),
+    "sweep": ("--quantity", "dims", "--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:3"),
+}
+
+
+def _echoed_config(out: str) -> dict:
+    if out.startswith("# version:"):
+        return json.loads(out.splitlines()[1].removeprefix("# config: "))
+    return json.loads(out)["config"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_echoed_config_holds_exactly_the_command_fields_and_reruns(tmp_path, capsys, command):
+    options = set(_COMMANDS[command].options)
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert {a.dest for a in subparsers[command]._actions} - {"help", "config"} == options
+    out_args = ("--out", str(tmp_path / "r.pgm")) if command == "render" else ()
+    rc, out, _ = run(capsys, command, *RUNS[command], *out_args)
+    assert rc == 0
+    echoed = _echoed_config(out)
+    assert set(echoed) == options | {"command"}
+    written = (tmp_path / "r.pgm").read_bytes() if out_args else None
+    # the echo is a recipe: as a config file it runs to the same bytes
+    rc2, out2, _ = run_config(tmp_path, capsys, command, echoed)
+    assert rc2 == 0 and out2 == out
+    assert written is None or (tmp_path / "r.pgm").read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [(command, field) for command, spec in _COMMANDS.items() for field in _OPTIONS
+     if field not in spec.options],
+)
+def test_config_field_the_command_does_not_take_exit_2(tmp_path, capsys, command, field):
+    # refused like the flag argparse does not know, not accepted, echoed and ignored
+    rc, out, err = run_config(tmp_path, capsys, command, {field: 1})
+    assert_config_error(rc, out, err)
+    message = json.loads(err)["message"]
+    assert command in message and repr(field) in message
+
+
+def test_bad_choice_same_line_from_flag_and_file(tmp_path, capsys):
+    base = ("--family", "mfp", "--p", "0.9")
+    from_flag = run(capsys, "dims", *base, "--method", "bogus")
+    from_file = run_config(tmp_path, capsys, "dims", {"method": "bogus"}, *base)
+    assert_config_error(*from_flag)
+    assert from_flag == from_file
+
+
+def test_boxdim_shortfall_exit_3(capsys):
+    # 5 of 20 survive within the attempt budget: refused, not a silent 5-replicate fit
+    rc, out, err = run(capsys, "boxdim", "--family", "mfp", "--p", "0.45", "--n", "1", "--m", "2",
+                       "--depth", "40", "--reps", "20", "--max-attempts", "100")
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "AllExtinctError"
+    assert payload["message"] == "5 of 20 replicates survived to depth 40 within 2000 attempts"

@@ -165,6 +165,16 @@ def test_boxdim_all_extinct():
         estimate_boxdim(params, 2, fit_levels=(1, 6), max_attempts=5)
 
 
+def test_boxdim_partial_survival_raises():
+    # some streams within the budget survive, but fewer than asked: no silent shortfall
+    params = PercolationParams(1, 2, 8, ProbSequence.mfp(0.55), seed=21)
+    alive = sum(sample_counts(params, i)[8] > 0 for i in range(40))
+    assert 0 < alive < 20
+    want = f"^{alive} of 20 replicates survived to depth 8 within 40 attempts$"
+    with pytest.raises(AllExtinctError, match=want):
+        estimate_boxdim(params, 20, max_attempts=2)
+
+
 def test_boxdim_validation():
     params = PercolationParams(1, 2, 6, FULL)
     with pytest.raises(InvalidParamsError):
@@ -218,8 +228,9 @@ def test_format_float_17_digits():
 
 
 def test_csv_row_shape():
-    params = PercolationParams(1, 2, 5, ProbSequence.mfp(0.8), seed=0)
-    row = csv_row("survival_prob", params, "mfp", "p=0.8", 100, 0.5, 0.01, 0.52, -2.0)
+    row = csv_row("survival_prob", 1, 2, 5, "mfp", "p=0.8", 100, 0.5, 0.01, 0.52, -2.0)
     assert len(row) == len(CSV_COLUMNS)
     assert row[0] == "survival_prob"
     assert row[1:4] == ["1", "2", "5"]
+    dims = csv_row("dims", 2, 2, None, "mfp", "p=0.9", None, 1.8, 0.0, 1.8, None)
+    assert dims[1:4] == ["2", "2", ""] and dims[6] == "" and dims[-1] == ""
