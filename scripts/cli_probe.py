@@ -84,6 +84,8 @@ FLAG_CALLS = [
      "--fit", "1:4", "--max-attempts", "20", "--budget", "100000"),
     ("sweep", "--quantity", "survival", *POWER, "--p-grid", "0.3:0.9:3", "--depth", "4", "--reps", "30",
      "--threads", "2", "--out", "probe.csv", "--format", "csv"),
+    ("sweep", "--quantity", "boxdim", "--family", "mfp", "--n", "2", "--m", "2", "--p-grid", "0.9:0.95:2",
+     "--depth", "4", "--reps", "2", "--fit", "1:4", "--max-attempts", "20", "--budget", "100000"),
     # errors: domain (3), budget (4), config (2) and argparse's own
     ("dims", "--family", "mfp", "--p", "1.5", "--n", "1", "--m", "2"),
     ("dims", "--n", "1", "--m", "2"),
@@ -102,6 +104,12 @@ FLAG_CALLS = [
     ("render", *PLANE),
     ("survival", *SEQ, *SIM, "--reps", "10", "--threads", "0"),
     ("sweep", "--quantity", "survival", *SEQ),
+    # a field the quantity does not read, and a grid over the cap
+    ("sweep", "--quantity", "survival", "--family", "mfp", "--n", "1", "--m", "2", "--p-grid", "0.5:0.9:2",
+     "--depth", "4", "--reps", "100", "--method", "windowed", "--window", "16:64", "--fit", "1:4",
+     "--max-attempts", "7"),
+    ("sweep", "--quantity", "dims", "--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:3", "--depth", "5"),
+    ("sweep", "--quantity", "dims", "--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:100000000000"),
     ("witness", "--n", "1", "--m", "2"),
     ("witness", "--r", "1", "--n", "1", "--m", "2", "--terms", "4"),
     ("bogus",),

@@ -4,16 +4,17 @@ Precedence is flags > config file > defaults.  Each option is declared once
 in ``_OPTIONS``, whose parser types its value once, from either source.
 Each subcommand is declared once in ``_COMMANDS``: its help, its fields,
 the formats it writes (the first is the default) and its runner.  Its
-fields with ``out`` and ``format`` are its whole input surface: its flags,
-the fields its config file may hold and its echoed config.  Argparse only
-collects strings; ``resolve_config`` and ``_pick_format`` check each value
-and choice once, whichever source gave it.  ``main`` picks the format
-(``--format``, else the ``--out`` extension, else the default) and checks
-that ``--out`` can be written before any work; the runner returns its
-payload in that format and a summary line for stderr; ``_emit`` writes it
-(JSON, CSV, PGM with a provenance line on stdout, or the witness ledger),
-atomically to ``--out`` (temp file + rename) or to stdout.  Every run
-echoes its resolved configuration (and the tool version) alongside its
+fields with ``out`` and ``format`` (for ``sweep``, also those of its
+``--quantity``) are its whole input surface: its flags, the fields its
+config file may hold and its echoed config; any other is refused (exit 2).
+Argparse only collects strings; ``resolve_config`` and ``_pick_format``
+check each value and choice once, whichever source gave it.  ``main`` picks
+the format (``--format``, else the ``--out`` extension, else the default)
+and checks that ``--out`` can be written before any work; the runner
+returns its payload in that format and a summary line for stderr; ``_emit``
+writes it (JSON, CSV, PGM with a provenance line on stdout, or the witness
+ledger), atomically to ``--out`` (temp file + rename) or to stdout.  Every
+run echoes its resolved configuration (and the tool version) alongside its
 results, so a saved output is a complete recipe for reproducing itself.
 Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
 them), 3 domain errors, 4 budget errors; failures print one machine
@@ -30,8 +31,6 @@ import struct
 import sys
 import tempfile
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .dimensions import full_report
@@ -119,8 +118,8 @@ def _pair(value) -> tuple[int, int]:
 def _parse_grid(value) -> tuple[float, float, int]:
     lo, hi, count = _fields(value, 3, "lo:hi:count")
     lo, hi, count = _real(lo), _real(hi), _int(count)
-    if count < 2:
-        raise ValueError(f"needs count >= 2, got {count}")
+    if not 2 <= count <= MAX_GRID_POINTS:
+        raise ValueError(f"needs 2 <= count <= {MAX_GRID_POINTS}, got {count}")
     return lo, hi, count
 
 
@@ -152,7 +151,7 @@ class _Command(NamedTuple):
     run: Callable  # (cfg, fmt) -> (payload in fmt, stderr summary line)
 
     @property
-    def options(self) -> tuple[str, ...]:  # its flags, its config fields and its echoed keys
+    def options(self) -> tuple[str, ...]:  # flags, config fields, echoed keys; a sweep adds its quantity's
         return ("out", "format") + self.fields
 
 
@@ -191,6 +190,7 @@ _SIM = _SEQ + ("depth", "seed", "budget")
 _EST = _SIM + ("replicates", "threads")
 _WINDOWED = ("window", "method")
 _BOX = ("fit", "max_attempts")
+MAX_GRID_POINTS = 1 << 20  # points in a sweep grid at most
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, spec in _COMMANDS.items():
         cmd = sub.add_parser(command, help=spec.help)
         cmd.add_argument("--config", help="JSON config file; flags override its fields")
-        for field in spec.options:
+        # the parser is static: sweep offers every quantity's flags, and resolve_config refuses the others
+        quantities = _OPTIONS["quantity"].choices if "quantity" in spec.fields else ()
+        for field in dict.fromkeys(spec.options + sum((_COMMANDS[q].fields for q in quantities), ())):
             opt = _OPTIONS[field]
             choices = spec.formats if field == "format" else opt.choices
             # flags stay strings and their choices are only shown here;
@@ -230,9 +232,6 @@ def _read_config(path: str, command: str) -> dict:
     file_cmd = loaded.pop("command", None)
     if file_cmd is not None and file_cmd != command:
         raise ConfigError(f"config file names command {file_cmd!r} but {command!r} was invoked")
-    unknown = set(loaded) - set(_COMMANDS[command].options)
-    if unknown:
-        raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
     return loaded
 
 
@@ -241,7 +240,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     given = _read_config(args.config, args.command) if args.config else {}
     given.update((field, value) for field, value in vars(args).items() if value is not None)
     cfg = {"command": args.command}
-    for field in _COMMANDS[args.command].options:
+    fields = list(_COMMANDS[args.command].options)
+    for field in fields:  # a sweep's list grows by its quantity's fields
         opt = _OPTIONS[field]
         value = opt.default if given.get(field) is None else given[field]
         if value is not None:
@@ -252,6 +252,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if opt.choices and value not in opt.choices:
                 raise ConfigError(f"{field} must be one of {list(opt.choices)}, got {value!r}")
         cfg[field] = value
+        if field == "quantity":
+            if value is None:
+                raise ConfigError("sweep needs --quantity " + "|".join(opt.choices))
+            fields += _COMMANDS[value].fields
+    if unknown := sorted(given.keys() - cfg.keys() - {"config"}):
+        quantity = f" --quantity {cfg['quantity']}" if "quantity" in cfg else ""
+        raise ConfigError(f"unknown config fields for {args.command}{quantity}: {unknown}")
     return cfg
 
 
@@ -274,10 +281,7 @@ def build_params(cfg: dict) -> PercolationParams:
 
 def _family_label(cfg: dict) -> tuple[str, str]:
     family = cfg.get("family") or ""
-    parts = []
-    for key in ("p", "a", "tail"):
-        if cfg.get(key) is not None:
-            parts.append(f"{key}={format(cfg[key], '.17g')}")
+    parts = [f"{key}={cfg[key]:.17g}" for key in ("p", "a", "tail") if cfg.get(key) is not None]
     if cfg.get("prefix"):
         parts.append("prefix=" + "|".join(format(v, ".17g") for v in cfg["prefix"]))
     return family, ";".join(parts)
@@ -461,18 +465,20 @@ def _run_witness(cfg: dict, fmt: str):
 def _run_sweep(cfg: dict, fmt: str):
     """One CSV row per grid point, from the ``--quantity`` command's own runner."""
     quantity = cfg["quantity"]
-    if quantity is None:
-        raise ConfigError("sweep needs --quantity survival|measure|boxdim|dims")
     if (cfg["p_grid"] is None) == (cfg["a_grid"] is None):
         raise ConfigError("sweep needs exactly one of --p-grid / --a-grid")
-    key, grid_spec = ("p", cfg["p_grid"]) if cfg["p_grid"] is not None else ("a", cfg["a_grid"])
-    lo, hi, count = _parse_grid(grid_spec)
+    key = "p" if cfg["p_grid"] is not None else "a"
+    if cfg[key] is not None:
+        raise ConfigError(f"sweep over {key} takes no --{key}: the grid gives it")
+    lo, hi, count = _parse_grid(cfg[key + "_grid"])
+    # numpy.linspace bit for bit: its formula, and its branch for a step that underflows to zero
+    step = (hi - lo) / (count - 1)
+    grid = [lo + (i / (count - 1) * (hi - lo) if step == 0 else i * step) for i in range(count - 1)] + [hi]
     rows = []
-    for value in np.linspace(lo, hi, count):
-        # keyed by the grid value so repeated values reproduce identical rows
-        value_bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-        point = dict(cfg, command=quantity, seed=derive_seed(cfg["seed"], value_bits))
-        point[key] = float(value)
+    for value in grid:
+        point = dict(cfg, command=quantity, **{key: value})
+        if "seed" in cfg:  # a sampled quantity: seeded by the grid value, so equal values give equal rows
+            point["seed"] = derive_seed(cfg["seed"], struct.unpack("<Q", struct.pack("<d", value))[0])
         rows += _COMMANDS[quantity].run(point, "csv")[0]
     return rows, f"sweep {quantity} over {key}: {count} points in [{lo:g}, {hi:g}]"
 
@@ -489,8 +495,8 @@ _COMMANDS = {
     "boxdim": _Command("box-counting slope over surviving replicates", _EST + _BOX, ("json", "csv"), _run_boxdim),
     "witness": _Command("build a (dimension, measure) witness report",
                         ("n", "m", "r", "l"), ("json", "ledger"), _run_witness),
-    "sweep": _Command("grid sweep over one parameter, CSV out",
-                      _EST + ("quantity", "p_grid", "a_grid") + _WINDOWED + _BOX, ("csv",), _run_sweep),
+    "sweep": _Command("grid sweep over one parameter, CSV out", ("quantity", "p_grid", "a_grid"), ("csv",),
+                      _run_sweep),
 }
 
 

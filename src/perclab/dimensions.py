@@ -1,6 +1,6 @@
 """Fractal dimensions and expected volume of the percolation limit set.
 
-Almost-sure values, all driven by the probability sequence:
+Dimensions hold almost surely on non-extinction; all come from the sequence:
 
     expected volume   E lambda_n = prod_k p_k
     hausdorff         n + log_m(alpha),   alpha = liminf_k (p_1...p_k)^(1/k)
@@ -25,11 +25,11 @@ Dynam. Systems 38, 2018; Fraser, Assouad Dimension and Fractal Geometry,
 2020).  An almost surely empty set reports packing's value, 0 for every
 sequence with a tail, so H <= P <= A holds by construction.
 
-Every function returns the deterministic almost-sure value; nothing here
-samples.  Each one reads one :class:`perclab.probseq._Limits` evaluation:
-p_inf and exact products for every sequence with a tail (``analytic``), and
-extrema of means over one window (k_lo, k_hi] of levels for a tail-less
-prefix or ``windowed``.  The evaluator states both rules.
+Every function returns a deterministic value; nothing here samples.  Each
+one reads one :class:`perclab.probseq._Limits` evaluation: p_inf and exact
+products for every sequence with a tail (``analytic``), and extrema of means
+over one window (k_lo, k_hi] of levels for a tail-less prefix or
+``windowed``.  The evaluator states both rules.
 """
 
 from __future__ import annotations

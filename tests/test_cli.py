@@ -9,10 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from perclab import __version__
-from perclab.cli import _COMMANDS, _OPTIONS, _pick_format, build_parser, main, resolve_config
+from perclab.cli import MAX_GRID_POINTS, _COMMANDS, _OPTIONS, _pick_format, build_parser, main, resolve_config
 from perclab.estimators import CSV_COLUMNS
 
 
@@ -484,6 +487,49 @@ def test_sweep_needs_exactly_one_grid(capsys):
     assert rc2 == 2
 
 
+def test_sweep_refuses_the_fields_its_quantity_does_not_read(tmp_path, capsys):
+    # sweep has these flags for other quantities; a survival sweep would never read them
+    argv = ("--quantity", "survival", "--family", "mfp", "--n", "1", "--m", "2", "--p-grid", "0.5:0.9:2",
+            "--depth", "4", "--reps", "100")
+    extra = {"method": "windowed", "window": "16:64", "fit": "1:4", "max_attempts": 7}
+    flags = [arg for field, value in extra.items() for arg in (_OPTIONS[field].flag, str(value))]
+    from_flags = run(capsys, "sweep", *argv, *flags)
+    from_file = run_config(tmp_path, capsys, "sweep", extra, *argv)
+    assert_config_error(*from_flags)
+    assert from_flags == from_file
+    assert json.loads(from_flags[2])["message"] == (
+        "unknown config fields for sweep --quantity survival: ['fit', 'max_attempts', 'method', 'window']"
+    )
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("p", ("--quantity", "dims", "--family", "mfp", "--n", "2", "--p", "0.1", "--p-grid", "0.3:0.9:3")),
+    ("a", ("--quantity", "dims", "--family", "power_telescope", "--p", "0.6", "--a", "0.1",
+           "--a-grid", "0.2:0.8:3")),
+])
+def test_sweep_refuses_the_swept_field(capsys, key, argv):
+    # the grid sets it at every point, so a given value would be echoed and overwritten
+    rc, out, err = run(capsys, "sweep", *argv)
+    assert_config_error(rc, out, err)
+    assert json.loads(err)["message"] == f"sweep over {key} takes no --{key}: the grid gives it"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lo=st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    hi=st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    count=st.integers(min_value=2, max_value=40),
+)
+@example(lo=5e-324, hi=1e-323, count=11)  # a step that underflows to zero
+@example(lo=0.7, hi=0.7, count=3)
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(capsys, lo, hi, count):
+    rc, out, _ = run(capsys, "sweep", "--quantity", "dims", "--family", "mfp",
+                     "--p-grid", f"{lo!r}:{hi!r}:{count}")
+    assert rc == 0
+    params = [line.split(",")[5] for line in out.splitlines()[3:]]
+    assert [float(p.removeprefix("p=")) for p in params] == np.linspace(lo, hi, count).tolist()
+
+
 # -- config files and precedence -----------------------------------------------------------
 
 
@@ -604,6 +650,15 @@ def test_huge_window_top_rejected_before_the_log_table_is_built():
                       "--method", "windowed", "--window", "64:100000000000")
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
+
+
+def test_huge_sweep_grid_rejected_before_it_is_built():
+    # 10^11 points would ask for 745 GiB as one array, or run for days as a list
+    proc = run_capped(1 << 30, "sweep", "--quantity", "dims", "--family", "mfp", "--n", "2",
+                      "--p-grid", "0.3:0.9:100000000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "ConfigError" and str(MAX_GRID_POINTS) in payload["message"]
 
 
 # records every write to os.environ made by `import perclab`, then prints
@@ -1015,8 +1070,24 @@ RUNS = {
     "survival": ("--family", "mfp", "--p", "0.8", "--depth", "5", "--reps", "100", "--format", "csv"),
     "boxdim": ("--family", "mfp", "--p", "0.9", "--n", "2", "--depth", "5", "--reps", "3", "--fit", "1:5"),
     "witness": ("--r", "1", "--l", "1.5"),
-    "sweep": ("--quantity", "dims", "--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:3"),
 }
+# and one per quantity that sweep runs
+SWEEP_RUNS = {
+    "dims": ("--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:3"),
+    "measure": ("--family", "power_telescope", "--a", "0.5", "--p-grid", "0.4:0.6:2", "--depth", "5",
+                "--reps", "100"),
+    "survival": ("--family", "mfp", "--p-grid", "0.7:0.9:2", "--depth", "5", "--reps", "100"),
+    "boxdim": ("--family", "mfp", "--n", "2", "--p-grid", "0.9:0.95:2", "--depth", "4", "--reps", "2",
+               "--fit", "1:4"),
+}
+
+
+def _surfaces(command: str) -> list[tuple[tuple[str, ...], set[str], tuple[str, ...]]]:
+    """(leading flags, input fields, run flags) of a command: sweep has one per quantity."""
+    if command != "sweep":
+        return [((), set(_COMMANDS[command].options), RUNS[command])]
+    return [(("--quantity", q), set(_COMMANDS[q].options) | {"quantity", "p_grid", "a_grid"}, SWEEP_RUNS[q])
+            for q in _OPTIONS["quantity"].choices]
 
 
 def _echoed_config(out: str) -> dict:
@@ -1027,32 +1098,43 @@ def _echoed_config(out: str) -> dict:
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_echoed_config_holds_exactly_the_command_fields_and_reruns(tmp_path, capsys, command):
-    options = set(_COMMANDS[command].options)
+    surfaces = _surfaces(command)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
-    assert {a.dest for a in subparsers[command]._actions} - {"help", "config"} == options
-    out_args = ("--out", str(tmp_path / "r.pgm")) if command == "render" else ()
-    rc, out, _ = run(capsys, command, *RUNS[command], *out_args)
-    assert rc == 0
-    echoed = _echoed_config(out)
-    assert set(echoed) == options | {"command"}
-    written = (tmp_path / "r.pgm").read_bytes() if out_args else None
-    # the echo is a recipe: as a config file it runs to the same bytes
-    rc2, out2, _ = run_config(tmp_path, capsys, command, echoed)
-    assert rc2 == 0 and out2 == out
-    assert written is None or (tmp_path / "r.pgm").read_bytes() == written
+    # argparse is static: sweep's flags are those of every quantity
+    dests = {a.dest for a in subparsers[command]._actions} - {"help", "config"}
+    assert dests == set().union(*(options for _, options, _ in surfaces))
+    for lead, options, run_args in surfaces:
+        out_args = ("--out", str(tmp_path / "r.pgm")) if command == "render" else ()
+        rc, out, _ = run(capsys, command, *lead, *run_args, *out_args)
+        assert rc == 0, lead
+        echoed = _echoed_config(out)
+        assert set(echoed) == options | {"command"}, lead
+        written = (tmp_path / "r.pgm").read_bytes() if out_args else None
+        # the echo is a recipe: as a config file it runs to the same bytes
+        rc2, out2, _ = run_config(tmp_path, capsys, command, echoed)
+        assert rc2 == 0 and out2 == out, lead
+        assert written is None or (tmp_path / "r.pgm").read_bytes() == written
 
 
 @pytest.mark.parametrize(
     "command, field",
-    [(command, field) for command, spec in _COMMANDS.items() for field in _OPTIONS
-     if field not in spec.options],
+    [(command, field) for command in _COMMANDS for field in _OPTIONS
+     if any(field not in options for _, options, _ in _surfaces(command))],
 )
 def test_config_field_the_command_does_not_take_exit_2(tmp_path, capsys, command, field):
-    # refused like the flag argparse does not know, not accepted, echoed and ignored
-    rc, out, err = run_config(tmp_path, capsys, command, {field: 1})
-    assert_config_error(rc, out, err)
-    message = json.loads(err)["message"]
-    assert command in message and repr(field) in message
+    # refused like the flag argparse does not know, not accepted, echoed and ignored;
+    # sweep is checked for each quantity that does not read the field
+    surfaces = _surfaces(command)
+    flags = set().union(*(options for _, options, _ in surfaces))
+    for lead, options, _ in surfaces:
+        if field in options:
+            continue
+        rc, out, err = run_config(tmp_path, capsys, command, {field: 1}, *lead)
+        assert_config_error(rc, out, err)
+        message = json.loads(err)["message"]
+        assert " ".join((command, *lead)) in message and repr(field) in message
+        if field in flags:  # sweep has another quantity's flag, and refuses it by the same line
+            assert run(capsys, command, *lead, _OPTIONS[field].flag, "1") == (rc, out, err)
 
 
 def test_bad_choice_same_line_from_flag_and_file(tmp_path, capsys):

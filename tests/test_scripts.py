@@ -107,8 +107,8 @@ def test_cli_probe_prints_one_line_per_call(tmp_path):
     for line in proc.stdout.splitlines():
         got = ast.literal_eval(line)
         calls.append(got if isinstance(got[0], tuple) else got[1])
-    # 56 flag calls, the malformed config file and 28 config contents
-    assert len(calls) == 85
+    # 60 flag calls, the malformed config file and 28 config contents
+    assert len(calls) == 89
     assert {code for _, code, *_ in calls} == {0, 2, 3, 4}
     assert {err for *_, err in calls} >= {None, "ConfigError", "argparse", "InvalidParamsError"}
     # every flag of every subcommand is exercised at least once
