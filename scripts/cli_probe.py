@@ -40,6 +40,7 @@ FLAG_CALLS = [
     ("dims", *PLANE, "--window", "16:64", "--method", "windowed"),
     ("dims", "--family", "power_telescope", "--p", "0.5", "--a", "0.5", "--n", "1", "--m", "2"),
     ("dims", "--family", "power", "--p", "0.5", "--prefix", "2,1", "--tail", "0.25", "--n", "1", "--m", "2"),
+    ("dims", "--family", "power", "--p", "0.5", "--tail", "2", "--n", "1", "--m", "2"),
     ("dims", "--family", "explicit", "--prefix", "0.3,0.5", "--tail", "0.7", "--n", "1", "--m", "2"),
     ("dims", *PLANE, "--format", "csv"),
     ("dims", *PLANE, "--out", "probe.csv"),
@@ -92,6 +93,8 @@ FLAG_CALLS = [
     ("dims", *PLANE, "--method", "bogus"),
     ("dims", *PLANE, "--window", "3"),
     ("dims", "--family", "mfp", "--p", "abc"),
+    ("dims", "--family", "mfp", "--p", "nan", "--n", "1", "--m", "2"),
+    ("generate", "--family", "power_head", "--p", "0.5", "--a", "inf", "--n", "1", "--m", "2", "--depth", "2"),
     ("dims", *PLANE, "--out", "probe.json", "--format", "pgm"),
     ("dims", *PLANE, "--out", "missing/probe.json"),
     ("witness", "--r", "1.5", "--n", "2", "--format", "csv"),

@@ -17,8 +17,8 @@ ledger), atomically to ``--out`` (temp file + rename) or to stdout.  Every
 run echoes its resolved configuration (and the tool version) alongside its
 results, so a saved output is a complete recipe for reproducing itself.
 Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
-them), 3 domain errors, 4 budget errors; failures print one machine
-readable JSON line on stderr.
+them), 3 domain errors, 4 budget errors (a budget too large for memory
+among them); failures print one machine readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import struct
 import sys
@@ -86,7 +87,11 @@ def _int(value) -> int:
 
 
 def _real(value) -> float:
-    return float(_number(value))
+    """A finite real: NaN and infinities, from a flag or from JSON's NaN and Infinity, are refused."""
+    number = float(_number(value))
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _text(value) -> str:
@@ -524,6 +529,8 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except BudgetExceededError as exc:
         return _fail(exc, 4)
+    except MemoryError as exc:  # numpy's own subclass has a private name
+        return _fail(MemoryError(str(exc)), 4)
     except (PercLabError, ValueError, OverflowError) as exc:
         return _fail(exc, 3)
     sys.stderr.write(summary + "\n")

@@ -18,7 +18,6 @@ boundaries, so depth beyond a few thousand levels never underflows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,7 +54,16 @@ MAX_WINDOW_TOP = 1 << 20
 # sums of m^(nk) * (-ln p_k) pass it (declared divergent).
 LOG_UNDERFLOW = 700.0
 
-_KINDS = {KIND_EXPLICIT, KIND_MFP, KIND_POWER, KIND_POWER_HEAD, KIND_POWER_HARMONIC, KIND_POWER_TELESCOPE}
+# each family's wire fields, in wire order, and its exponent rule (explicit
+# stores probabilities, not exponents)
+_FAMILIES = {
+    KIND_EXPLICIT: (("prefix", "tail"), None),
+    KIND_MFP: (("p",), EXP_CONSTANT_ONE),
+    KIND_POWER: (("p", "prefix", "tail"), EXP_EXPLICIT_LIST),
+    KIND_POWER_HEAD: (("p", "a"), EXP_EXPLICIT_LIST),
+    KIND_POWER_HARMONIC: (("p",), EXP_HARMONIC),
+    KIND_POWER_TELESCOPE: (("p", "a"), EXP_GEOMETRIC_GAP),
+}
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,8 @@ class ExponentSpec:
         elif self.kind == EXP_EXPLICIT_LIST:
             if self.tail is None:
                 raise InvalidParamsError("explicit_list exponents need a constant tail")
-            if self.tail <= 0 or any(v <= 0 for v in self.values):
-                raise InvalidParamsError("exponents must be positive")
+            if not all(0.0 < v < math.inf for v in self.values + (self.tail,)):
+                raise InvalidParamsError("exponents must be positive and finite")
         elif self.kind == EXP_GEOMETRIC_GAP:
             if self.a is None or not 0.0 < self.a < 1.0:
                 raise InvalidParamsError("geometric_gap needs a in (0, 1)")
@@ -154,7 +162,7 @@ class ProbSequence:
 
     kinds:
       mfp              constant p_k = p (Mandelbrot fractal percolation), a_k = 1
-      power            p_k = p^(a_k) with any :class:`ExponentSpec` rule
+      power            p^(a_k) with a finite exponent list, then a constant tail
       power_head       p^a at k = 1 and p afterwards (a >= 1), a_k = a, 1, 1, ...
       power_harmonic   p^(1/k); p_k climbs to 1 but prod p_k = 0, so the
                        limit set has full dimension and measure 0
@@ -162,10 +170,10 @@ class ProbSequence:
                        to 1 fast enough that the limit set stays fat
       explicit         a finite prefix plus an optional constant tail
 
-    The construction demands a non-decreasing sequence.  Explicit (and
-    power/explicit_list) inputs that break monotonicity are rejected unless
-    ``strict=False``, in which case a warning is recorded and the formulas
-    are evaluated regardless.
+    Each family has one exponent rule and one set of wire fields, both
+    fixed by ``_FAMILIES``; a catalog sequence built with another rule is
+    refused.  The construction takes p_k non-decreasing, so an explicit or
+    power sequence that decreases somewhere is refused too.
     """
 
     kind: str
@@ -173,13 +181,13 @@ class ProbSequence:
     prefix: tuple[float, ...] = ()
     tail: float | None = None
     exponents: ExponentSpec | None = None
-    strict: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
-        if self.kind not in _KINDS:
+        if self.kind not in _FAMILIES:
             raise InvalidParamsError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == KIND_EXPLICIT:
+        rule = _FAMILIES[self.kind][1]
+        if rule is None:
             if not self.prefix and self.tail is None:
                 raise InvalidParamsError("explicit sequence needs a prefix or a tail value")
             for v in self.prefix:
@@ -188,21 +196,16 @@ class ProbSequence:
                 _check_prob(self.tail, closed_top=True)
             probe = self.prefix + ((self.tail,) if self.tail is not None else ())
             if any(probe[i] > probe[i + 1] for i in range(len(probe) - 1)):
-                self._monotonicity_violation("explicit probabilities decrease somewhere")
+                raise InvalidParamsError("non-monotone sequence: explicit probabilities decrease somewhere")
             return
         _check_prob(self.p)
-        if self.exponents is None:
-            raise InvalidParamsError(f"{self.kind} sequence needs an ExponentSpec")
-        if self.kind == KIND_POWER and self.exponents.kind == EXP_HARMONIC:
-            # the power wire dict has no field for this rule, so it would read back as constant_one
-            raise InvalidParamsError("harmonic exponents are family power_harmonic, not power")
+        got = self.exponents and self.exponents.kind
+        if got != rule:
+            raise InvalidParamsError(f"{self.kind} sequence takes {rule} exponents, got {got}")
         if not self.exponents.is_nonincreasing():
-            self._monotonicity_violation(f"{self.kind} exponents increase somewhere (p_k would decrease)")
-
-    def _monotonicity_violation(self, why: str):
-        if self.strict:
-            raise InvalidParamsError(f"non-monotone sequence: {why} (pass strict=False to allow)")
-        warnings.warn(f"non-monotone probability sequence accepted: {why}", UserWarning, stacklevel=3)
+            raise InvalidParamsError(
+                f"non-monotone sequence: {self.kind} exponents increase somewhere (p_k would decrease)"
+            )
 
     # -- constructors -------------------------------------------------------
 
@@ -227,8 +230,8 @@ class ProbSequence:
         return cls(KIND_POWER_TELESCOPE, p=float(p), exponents=ExponentSpec.geometric_gap(a))
 
     @classmethod
-    def explicit(cls, prefix, tail: float | None = None, strict: bool = True) -> "ProbSequence":
-        return cls(KIND_EXPLICIT, prefix=tuple(prefix), tail=tail, strict=strict)
+    def explicit(cls, prefix, tail: float | None = None) -> "ProbSequence":
+        return cls(KIND_EXPLICIT, prefix=tuple(prefix), tail=tail)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -283,48 +286,33 @@ class ProbSequence:
     # -- wire format --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == KIND_EXPLICIT:
-            d["prefix"] = list(self.prefix)
-            if self.tail is not None:
-                d["tail"] = self.tail
-            return d
-        d["p"] = self.p
+        """The kind, then each of the family's fields that has a value."""
         es = self.exponents
-        if self.kind == KIND_POWER_HEAD:
-            d["a"] = es.values[0]
-        elif es.kind == EXP_GEOMETRIC_GAP:
-            d["a"] = es.a
-        elif es.kind == EXP_EXPLICIT_LIST:
-            d["prefix"] = list(es.values)
-            d["tail"] = es.tail
+        if self.kind == KIND_EXPLICIT:
+            values = {"prefix": list(self.prefix), "tail": self.tail}
+        else:
+            a = es.values[0] if self.kind == KIND_POWER_HEAD else es.a
+            values = {"p": self.p, "a": a, "prefix": list(es.values), "tail": es.tail}
+        d: dict = {"kind": self.kind}
+        d.update((key, values[key]) for key in _FAMILIES[self.kind][0] if values[key] is not None)
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, strict: bool = True) -> "ProbSequence":
+    def from_dict(cls, d: dict) -> "ProbSequence":
         try:
             raw_kind = str(d["kind"])
         except (KeyError, TypeError) as exc:
             raise InvalidParamsError("sequence object needs a 'kind' field") from exc
         kind = raw_kind.strip().lower()
-        if kind not in _KINDS:
+        if kind not in _FAMILIES:
             raise InvalidParamsError(f"unknown sequence kind {raw_kind!r}")
-        given = {key for key in ("p", "a", "prefix", "tail") if d.get(key) is not None}
+        reads = _FAMILIES[kind][0]
+        unread = [key for key in ("a", "p", "prefix", "tail") if d.get(key) is not None and key not in reads]
+        if unread:
+            raise InvalidParamsError(f"{kind} sequence does not read fields {unread}")
         if kind == KIND_EXPLICIT:
-            reads = {"prefix", "tail"}
-        elif kind in (KIND_MFP, KIND_POWER_HARMONIC):
-            reads = {"p"}
-        elif kind == KIND_POWER and "a" not in given:
-            reads = {"p", "prefix", "tail"} if "prefix" in given else {"p"}
-        else:
-            reads = {"p", "a"}
-        if given - reads:
-            raise InvalidParamsError(f"{kind} sequence does not read fields {sorted(given - reads)}")
-        if kind == KIND_EXPLICIT:
-            return cls.explicit(d.get("prefix", ()), d.get("tail"), strict=strict)
-        p = d.get("p")
-        if p is None:
-            raise InvalidParamsError(f"{kind} sequence needs field 'p'")
+            return cls.explicit(d.get("prefix") or (), d.get("tail"))
+        p = _require(d, "p", kind)
         if kind == KIND_MFP:
             return cls.mfp(p)
         if kind == KIND_POWER_HARMONIC:
@@ -333,14 +321,7 @@ class ProbSequence:
             return cls.power_head(p, _require(d, "a", kind))
         if kind == KIND_POWER_TELESCOPE:
             return cls.power_telescope(p, _require(d, "a", kind))
-        # power: exponent rule inferred from which optional fields are present
-        if "a" in given:
-            espec = ExponentSpec.geometric_gap(d["a"])
-        elif "prefix" in given:
-            espec = ExponentSpec.explicit_list(d["prefix"], _require(d, "tail", "power/explicit_list"))
-        else:
-            espec = ExponentSpec.constant_one()
-        return cls(KIND_POWER, p=float(p), exponents=espec, strict=strict)
+        return cls.power(p, ExponentSpec.explicit_list(d.get("prefix") or (), _require(d, "tail", kind)))
 
 
 def _require(d: dict, key: str, what: str):

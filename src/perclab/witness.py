@@ -94,10 +94,10 @@ class WitnessSpec:
     m: int
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise InvalidParamsError("target dimension r must be positive")
-        if self.l < 0.0:
-            raise InvalidParamsError("target measure l must be >= 0")
+        if not 0.0 < self.r < math.inf:
+            raise InvalidParamsError("target dimension r must be positive and finite")
+        if not 0.0 <= self.l < math.inf:
+            raise InvalidParamsError("target measure l must be >= 0 and finite")
         if self.n < math.ceil(self.r):
             raise InvalidParamsError(
                 f"ambient dimension n={self.n} must be >= ceil(r)={math.ceil(self.r)}"

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from perclab import __version__
-from perclab.cli import MAX_GRID_POINTS, _COMMANDS, _OPTIONS, _pick_format, build_parser, main, resolve_config
+from perclab.cli import (MAX_GRID_POINTS, _COMMANDS, _OPTIONS, _grid, _pick_format, _real, _reals, build_parser,
+                         main, resolve_config)
 from perclab.estimators import CSV_COLUMNS
 
 
@@ -605,6 +606,52 @@ def test_sequence_field_the_family_does_not_read_exit_3(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParamsError"
 
 
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        # the laws of power_telescope and mfp, which have one spelling each
+        (("--a", "0.5"), "'a'"),
+        ((), "'tail'"),
+    ],
+)
+def test_power_reads_only_an_exponent_list(capsys, extra, field):
+    base = ("dims", "--family", "power", "--p", "0.5", "--n", "1", "--m", "2")
+    rc, out, err = run(capsys, *base, *extra)
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParamsError" and field in payload["message"]
+    # a tail alone is an empty exponent list: p_k = 0.5^0.5 for every k
+    rc, out, _ = run(capsys, *base, "--tail", "0.5")
+    assert rc == 0
+    assert json.loads(out)["result"]["hausdorff"] == pytest.approx(0.5, abs=1e-12)
+
+
+_REAL_FIELDS = sorted(field for field, opt in _OPTIONS.items() if opt.parse in (_real, _reals, _grid))
+
+
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_real_exit_2(tmp_path, capsys, field, value):
+    parse = _OPTIONS[field].parse
+    flag, given = {
+        _real: (str(value), value),
+        _reals: (f"0.5,{value}", [0.5, value]),
+        _grid: (f"0.1:{value}:3", [0.1, value, 3]),
+    }[parse]
+    if parse is _grid:
+        command = ("sweep", "--quantity", "dims")
+    else:
+        command = (next(name for name, spec in _COMMANDS.items() if field in spec.fields),)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: given}))  # as NaN, Infinity or -Infinity
+    # --flag=value: argparse would read a separate "-inf" as a flag
+    for argv in ((*command, f"{_OPTIONS[field].flag}={flag}"), (*command, "--config", str(cfg))):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and payload["message"].startswith(f"bad {field}: ")
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -650,6 +697,17 @@ def test_huge_window_top_rejected_before_the_log_table_is_built():
                       "--method", "windowed", "--window", "64:100000000000")
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "InvalidParamsError"
+
+
+@pytest.mark.parametrize("command, extra", [("generate", ()), ("survival", ("--reps", "100"))])
+def test_keep_mask_too_large_for_memory_exit_4(command, extra):
+    # a budget of 2^60 cells lets one level ask numpy for a 1 EiB keep mask
+    proc = run_capped(1 << 30, command, "--family", "mfp", "--p", "0.5", "--n", "3", "--m", "1048576",
+                      "--depth", "1", "--budget", str(1 << 60), *extra)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "MemoryError" and payload["exit_code"] == 4
 
 
 def test_huge_sweep_grid_rejected_before_it_is_built():

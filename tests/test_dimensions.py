@@ -289,12 +289,12 @@ def test_power_family_exponent_reduction_two_paths():
     """
     n, m = 2, 3
     k_lo, k_hi = WINDOW
-    for espec in (
-        ExponentSpec.constant_one(),
-        ExponentSpec.explicit_list([1.8, 1.3, 1.1], 1.0),
-        ExponentSpec.geometric_gap(0.5),
+    for seq in (
+        ProbSequence.mfp(0.7),
+        ProbSequence.power(0.7, ExponentSpec.explicit_list([1.8, 1.3, 1.1], 1.0)),
+        ProbSequence.power_telescope(0.7, 0.5),
     ):
-        seq = ProbSequence.power(0.7, espec)
+        espec = seq.exponents
         module_value = dim_hausdorff(seq, n, m, window=WINDOW, method="windowed")
         tail_means = []
         acc = 0.0
@@ -344,17 +344,6 @@ def test_windowed_packing_equals_hausdorff_past_the_prefix():
     assert rep.packing == pytest.approx(1 + math.log2(0.7), abs=1e-12)
     rep = full_report(ProbSequence.explicit([0.3, 0.5], tail=1.0), 1, 2)
     assert rep.hausdorff == rep.packing == rep.assouad == 1.0
-
-
-def test_windowed_limsups_read_the_deeper_half_off_monotone():
-    # p_2 alone is high: packing reads only (1, k] with k >= 9; the set
-    # survives (alpha = 0.675 > 1/2), so A = n
-    with pytest.warns(UserWarning):
-        seq = ProbSequence.explicit([0.5, 0.99] + [0.9] * 7, tail=0.5, strict=False)
-    rep = full_report(seq, 1, 2, window=(1, 17), method="windowed")
-    assert rep.packing == pytest.approx(1 + (math.log(0.99) + 7 * math.log(0.9)) / (8 * math.log(2)), abs=1e-12)
-    assert rep.assouad == 1.0
-    assert _ordered(rep)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_seqs, geometries, harmonic_seqs
+from conftest import catalog_seqs, explicit_tail_seqs, geometries, harmonic_seqs
 from perclab import (
     ClassifierReport,
     ExponentSpec,
@@ -82,11 +82,8 @@ def test_probability_domain_checks():
 
 
 def test_non_monotone_explicit_strict_and_flagged():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="non-monotone"):
         ProbSequence.explicit([0.9, 0.5], tail=0.95)
-    with pytest.warns(UserWarning):
-        seq = ProbSequence.explicit([0.9, 0.5], tail=0.95, strict=False)
-    assert seq.p_at(2) == 0.5
 
 
 @pytest.mark.parametrize(
@@ -105,6 +102,18 @@ def test_exponent_rule_cesaro_limit_and_series(espec, cesaro, series):
     assert espec.cesaro_limit() == cesaro
     for base, expected in series.items():
         assert espec.series(base) == expected, base
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exponents_must_be_positive_and_finite(bad):
+    with pytest.raises(InvalidParamsError):
+        ExponentSpec.explicit_list([bad], 1.0)
+    with pytest.raises(InvalidParamsError):
+        ExponentSpec.explicit_list([2.0], bad)
+    with pytest.raises(InvalidParamsError):
+        ExponentSpec.geometric_gap(bad)
+    with pytest.raises(InvalidParamsError):
+        ProbSequence.power_head(0.5, bad)
 
 
 # -- log prefix products ------------------------------------------------------
@@ -193,11 +202,11 @@ def test_interior_read_from_the_divergence_flag():
 
 
 def test_beta_term_past_the_double_range_diverges_without_overflow():
-    # the weight of the term at k = 1100 is 2^1100, past what exp can return
-    with pytest.warns(UserWarning):
-        seq = ProbSequence.explicit([1.0] * 1099 + [0.5], tail=1.0, strict=False)
-    assert beta_estimate(seq, 1, 2, window=(64, 1200), method="windowed") == (0.0, "windowed", True)
-    rep = classify(seq, 1, 2)
+    # ln of the term 10^k * 2^-52 passes ln 700 at k = 19, while the partial
+    # sum is still ~247: the sum stops there, before exp is asked for the term
+    seq = ProbSequence.explicit([1 - 2**-52] * 30, tail=1.0)
+    assert beta_estimate(seq, 1, 10, window=(8, 64), method="windowed") == (0.0, "windowed", True)
+    rep = classify(seq, 1, 10)
     assert (rep.beta, rep.beta_diverged, rep.interior_class) == (0.0, False, "non_empty_interior")
 
 
@@ -306,8 +315,8 @@ def test_alpha_bounds(seq, nm):
         ProbSequence.power_telescope(0.8, 0.25),
         ProbSequence.explicit([0.4, 0.5], tail=0.9),
         ProbSequence.explicit([0.4, 0.5]),
-        ProbSequence.power(0.6, ExponentSpec.constant_one()),
-        ProbSequence.power(0.6, ExponentSpec.geometric_gap(0.3)),
+        ProbSequence.power(0.6, ExponentSpec.explicit_list([], 2.0)),
+        ProbSequence.explicit([], tail=1.0),
         ProbSequence.power(0.6, ExponentSpec.explicit_list([2.0, 1.5], 1.0)),
         ProbSequence.power_harmonic(0.5),
     ],
@@ -326,6 +335,23 @@ def test_json_round_trip(seq):
                 back.p_at(k)
             continue
         assert back.p_at(k) == expected
+
+
+def explicit_prefix_seqs():
+    return st.builds(
+        lambda values: ProbSequence.explicit(sorted(values)), st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs(), explicit_prefix_seqs()))
+def test_every_family_round_trips(seq):
+    back = ProbSequence.from_dict(json.loads(json.dumps(seq.to_dict())))
+    assert back == seq
+    for k in range(1, 11):
+        if seq.kind == "explicit" and seq.tail is None and k > len(seq.prefix):
+            break
+        assert back.p_at(k) == seq.p_at(k)
 
 
 @pytest.mark.parametrize(
@@ -351,8 +377,8 @@ def test_catalog_wire_dicts_exact(seq, wire):
         ({"kind": "power_telescope", "p": 0.5, "a": 0.5, "prefix": [1.0]}, "prefix"),
         ({"kind": "explicit", "p": 0.5, "tail": 0.9}, "p"),
         ({"kind": "explicit", "prefix": [0.9], "a": 0.5}, "a"),
-        ({"kind": "power", "p": 0.5, "a": 0.5, "prefix": [2.0], "tail": 1.0}, "prefix"),
-        ({"kind": "power", "p": 0.5, "tail": 1.0}, "tail"),
+        ({"kind": "power", "p": 0.5, "a": 0.5, "prefix": [2.0], "tail": 1.0}, "a"),
+        ({"kind": "power_harmonic", "p": 0.5, "tail": 1.0}, "tail"),
         ({"kind": "power_harmonic", "p": 0.5, "a": 2.0}, "a"),
     ],
 )
@@ -361,10 +387,32 @@ def test_from_dict_rejects_fields_the_family_does_not_read(wire, unread):
         ProbSequence.from_dict(wire)
 
 
-def test_power_refuses_harmonic_exponents():
-    # power's wire dict has no field for the rule: it would read back as constant_one
-    with pytest.raises(InvalidParamsError, match="power_harmonic"):
-        ProbSequence.power(0.5, ExponentSpec.harmonic())
+def test_power_needs_a_tail_and_reads_one_without_a_prefix():
+    # a bare power was the law of mfp, which has one spelling now
+    with pytest.raises(InvalidParamsError, match="needs field 'tail'"):
+        ProbSequence.from_dict({"kind": "power", "p": 0.5})
+    seq = ProbSequence.from_dict({"kind": "power", "p": 0.5, "tail": 2.0})
+    assert seq == ProbSequence.power(0.5, ExponentSpec.explicit_list([], 2.0))
+    assert seq.p_at(1) == seq.p_at(9) == 0.25
+
+
+def test_catalog_family_refuses_every_other_rule():
+    # a sequence under a rule its wire dict cannot carry would read back as another law
+    rules = {
+        "constant_one": ExponentSpec.constant_one(),
+        "explicit_list": ExponentSpec.explicit_list([1.0], 1.0),
+        "geometric_gap": ExponentSpec.geometric_gap(0.5),
+        "harmonic": ExponentSpec.harmonic(),
+    }
+    own = {"mfp": "constant_one", "power": "explicit_list", "power_head": "explicit_list",
+           "power_harmonic": "harmonic", "power_telescope": "geometric_gap"}
+    for family, rule in own.items():
+        assert ProbSequence(family, p=0.5, exponents=rules[rule]).exponents.kind == rule
+        for other in rules.keys() - {rule}:
+            with pytest.raises(InvalidParamsError, match=f"{family} sequence takes {rule} exponents"):
+                ProbSequence(family, p=0.5, exponents=rules[other])
+        with pytest.raises(InvalidParamsError, match=f"{family} sequence takes {rule} exponents"):
+            ProbSequence(family, p=0.5)
 
 
 def test_from_dict_reads_null_fields_as_absent():

@@ -60,8 +60,8 @@ def test_analytic_probe_prints_one_line_per_call(tmp_path):
     proc = run_script("analytic_probe.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # 85 sequences, each with 360 per-geometry calls, 15 alphas and 8 measures
-    assert len(lines) == 85 * 383
+    # 84 sequences, each with 360 per-geometry calls, 15 alphas and 8 measures
+    assert len(lines) == 84 * 383
     assert lines[0].startswith("('mfp(1e-300)', 'full_report', 1, 2, (64, 512), 'auto', DimensionReport(")
     assert any("WindowTooSmallError" in line for line in lines)
 
@@ -107,8 +107,8 @@ def test_cli_probe_prints_one_line_per_call(tmp_path):
     for line in proc.stdout.splitlines():
         got = ast.literal_eval(line)
         calls.append(got if isinstance(got[0], tuple) else got[1])
-    # 60 flag calls, the malformed config file and 28 config contents
-    assert len(calls) == 89
+    # 63 flag calls, the malformed config file and 28 config contents
+    assert len(calls) == 92
     assert {code for _, code, *_ in calls} == {0, 2, 3, 4}
     assert {err for *_, err in calls} >= {None, "ConfigError", "argparse", "InvalidParamsError"}
     # every flag of every subcommand is exercised at least once

@@ -154,6 +154,14 @@ def test_spec_validation():
         WitnessSpec(r=1.0, l=-1.0, n=1, m=2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_targets(bad):
+    with pytest.raises(InvalidParamsError, match="finite"):
+        WitnessSpec(r=bad, l=0.0, n=2, m=2)
+    with pytest.raises(InvalidParamsError, match="finite"):
+        WitnessSpec(r=1.0, l=bad, n=2, m=2)
+
+
 def test_spec_fields_are_the_theorems_inputs():
     assert [f.name for f in dataclasses.fields(WitnessSpec)] == ["r", "l", "n", "m"]
 
