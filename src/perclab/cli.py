@@ -16,6 +16,8 @@ writes it (JSON, CSV, PGM with a provenance line on stdout, or the witness
 ledger), atomically to ``--out`` (temp file + rename) or to stdout.  Every
 run echoes its resolved configuration (and the tool version) alongside its
 results, so a saved output is a complete recipe for reproducing itself.
+Only what samples or writes a PGM imports the engine, and numpy with it, at
+the call: ``dims``, ``classify``, ``witness`` and a ``dims`` sweep load no numpy.
 Exit codes: 0 success, 2 config errors (an unwritable ``--out`` among
 them), 3 domain errors, 4 budget errors (a budget too large for memory
 among them); failures print one machine readable JSON line on stderr.
@@ -35,16 +37,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .dimensions import full_report
-from .engine import (
-    DEFAULT_CELL_BUDGET,
-    PercolationParams,
-    _pgm_chunks,
-    derive_seed,
-    generate,
-    realization_to_dict,
-    render_level,
-)
-from .errors import BudgetExceededError, PercLabError
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, PercLabError
 from .estimators import (
     CSV_COLUMNS,
     QUANTITY_BOXDIM,
@@ -278,7 +271,9 @@ def build_seq(cfg: dict) -> ProbSequence:
     return ProbSequence.from_dict(d)
 
 
-def build_params(cfg: dict) -> PercolationParams:
+def build_params(cfg: dict):
+    from .engine import PercolationParams
+
     return PercolationParams(
         cfg["n"], cfg["m"], cfg["depth"], build_seq(cfg), seed=cfg["seed"], cell_budget=cfg["budget"]
     )
@@ -356,6 +351,8 @@ def _check_out(path: str) -> None:
 def _emit(cfg: dict, fmt: str, payload) -> None:
     """Write a runner's payload in ``fmt``, atomically to ``--out`` or to stdout."""
     if fmt == "pgm":
+        from .engine import _pgm_chunks
+
         side = payload.shape[0]
         _atomic_write(cfg["out"], _pgm_chunks(payload))
         # provenance for the binary output goes to stdout instead of the file
@@ -404,6 +401,8 @@ def _run_classify(cfg: dict, fmt: str):
 
 
 def _run_generate(cfg: dict, fmt: str):
+    from .engine import generate, realization_to_dict
+
     params = build_params(cfg)
     r = generate(params, stream=cfg["stream"])
     return realization_to_dict(r), (
@@ -413,6 +412,8 @@ def _run_generate(cfg: dict, fmt: str):
 
 
 def _run_render(cfg: dict, fmt: str):
+    from .engine import render_level
+
     params = build_params(cfg)
     level = params.depth if cfg["level"] is None else cfg["level"]
     # render_level checks the level and the raster side before it samples
@@ -483,6 +484,8 @@ def _run_sweep(cfg: dict, fmt: str):
     for value in grid:
         point = dict(cfg, command=quantity, **{key: value})
         if "seed" in cfg:  # a sampled quantity: seeded by the grid value, so equal values give equal rows
+            from .engine import derive_seed
+
             point["seed"] = derive_seed(cfg["seed"], struct.unpack("<Q", struct.pack("<d", value))[0])
         rows += _COMMANDS[quantity].run(point, "csv")[0]
     return rows, f"sweep {quantity} over {key}: {count} points in [{lo:g}, {hi:g}]"

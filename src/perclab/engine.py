@@ -27,9 +27,9 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import _import_numpy_without_blas_pool
 from .errors import (
+    DEFAULT_CELL_BUDGET,
     BudgetExceededError,
     InvalidParamsError,
     RasterTooLargeError,
@@ -37,7 +37,8 @@ from .errors import (
 )
 from .probseq import KIND_EXPLICIT, ProbSequence
 
-DEFAULT_CELL_BUDGET = 1 << 26
+np = _import_numpy_without_blas_pool()
+
 MAX_RASTER_SIDE = 4096
 _PGM_BLOCK = 256  # side of the image tiles converted at a time
 

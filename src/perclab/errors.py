@@ -13,6 +13,9 @@ class WindowTooSmallError(InvalidParamsError):
     """Windowed evaluation was asked for on a window spanning fewer than 8 levels."""
 
 
+DEFAULT_CELL_BUDGET = 1 << 26  # candidate cells per level at most, unless the caller sets a budget
+
+
 class BudgetExceededError(PercLabError):
     """Cell expansion passed the configured budget.
 

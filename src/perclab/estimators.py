@@ -9,20 +9,23 @@ is the one place that maps replicates to streams: it builds one Philox bit
 generator per estimator call and re-keys it to (seed, i) before replicate
 i.  All three estimators draw the replicates inline, in stream order, and
 fold them in that order, so results are deterministic for a fixed (seed,
-params, replicates) and a fixed numpy.
+params, replicates) and a fixed numpy.  numpy and the engine load in
+``_replicates``, on the first draw: the CSV rows of ``dims`` need neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import _import_numpy_without_blas_pool
 from .dimensions import expected_measure
-from .engine import PercolationParams, level_probs, sample_counts
 from .errors import AllExtinctError, InvalidParamsError
 from .probseq import KIND_MFP
+
+if TYPE_CHECKING:
+    from .engine import PercolationParams
 
 QUANTITY_MEASURE = "expected_measure"
 QUANTITY_SURVIVAL = "survival_prob"
@@ -120,8 +123,10 @@ def _replicates(params: PercolationParams, count: int):
     One Philox bit generator per call, re-keyed to stream i before replicate
     i, serves every replicate; it is never shared between calls.
     """
+    from .engine import level_probs, sample_counts
+
     probs = level_probs(params)
-    bitgen = np.random.Philox()
+    bitgen = _import_numpy_without_blas_pool().random.Philox()
     for i in range(count):
         yield sample_counts(params, i, probs, bitgen)
 

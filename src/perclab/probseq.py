@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from . import _import_numpy_without_blas_pool
 from .errors import InvalidParamsError, WindowTooSmallError
 
 KIND_EXPLICIT = "explicit"
@@ -54,6 +53,14 @@ MAX_WINDOW_TOP = 1 << 20
 # sums of m^(nk) * (-ln p_k) pass it (declared divergent).
 LOG_UNDERFLOW = 700.0
 
+# the fields each exponent rule reads; a rule refuses the others
+_RULE_FIELDS = {
+    EXP_CONSTANT_ONE: (),
+    EXP_EXPLICIT_LIST: ("values", "tail"),
+    EXP_GEOMETRIC_GAP: ("a",),
+    EXP_HARMONIC: (),
+}
+
 # each family's wire fields, in wire order, and its exponent rule (explicit
 # stores probabilities, not exponents)
 _FAMILIES = {
@@ -75,6 +82,9 @@ class ExponentSpec:
       explicit_list  finite positive list, then a constant tail
       geometric_gap  a_k = a^(k-1) - a^k, 0 < a < 1 (gaps telescope to 1)
       harmonic       a_k = 1/k (Cesaro limit 0, divergent series)
+
+    Each kind refuses the fields it does not read (``_RULE_FIELDS``), so
+    that one rule has one spelling and a sequence reads back as itself.
     """
 
     kind: str
@@ -84,9 +94,13 @@ class ExponentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.kind == EXP_CONSTANT_ONE:
-            pass
-        elif self.kind == EXP_EXPLICIT_LIST:
+        if self.kind not in _RULE_FIELDS:
+            raise InvalidParamsError(f"unknown exponent kind {self.kind!r}")
+        reads = _RULE_FIELDS[self.kind]
+        stray = [f for f in ("values", "tail", "a") if getattr(self, f) not in (None, ()) and f not in reads]
+        if stray:
+            raise InvalidParamsError(f"{self.kind} exponents do not read fields {stray}")
+        if self.kind == EXP_EXPLICIT_LIST:
             if self.tail is None:
                 raise InvalidParamsError("explicit_list exponents need a constant tail")
             if not all(0.0 < v < math.inf for v in self.values + (self.tail,)):
@@ -94,8 +108,6 @@ class ExponentSpec:
         elif self.kind == EXP_GEOMETRIC_GAP:
             if self.a is None or not 0.0 < self.a < 1.0:
                 raise InvalidParamsError("geometric_gap needs a in (0, 1)")
-        elif self.kind != EXP_HARMONIC:
-            raise InvalidParamsError(f"unknown exponent kind {self.kind!r}")
 
     @classmethod
     def constant_one(cls) -> "ExponentSpec":
@@ -172,8 +184,10 @@ class ProbSequence:
 
     Each family has one exponent rule and one set of wire fields, both
     fixed by ``_FAMILIES``; a catalog sequence built with another rule is
-    refused.  The construction takes p_k non-decreasing, so an explicit or
-    power sequence that decreases somewhere is refused too.
+    refused, and so is a power_head list other than (a,) then tail 1,
+    which its one wire field ``a`` could not carry.  The construction takes
+    p_k non-decreasing, so an explicit or power sequence that decreases
+    somewhere is refused too.
     """
 
     kind: str
@@ -206,6 +220,8 @@ class ProbSequence:
             raise InvalidParamsError(
                 f"non-monotone sequence: {self.kind} exponents increase somewhere (p_k would decrease)"
             )
+        if self.kind == KIND_POWER_HEAD and (len(self.exponents.values), self.exponents.tail) != (1, 1.0):
+            raise InvalidParamsError("power_head exponents are one head exponent a >= 1, then tail 1")
 
     # -- constructors -------------------------------------------------------
 
@@ -267,10 +283,11 @@ class ProbSequence:
             return math.log(self.p_at(k))
         return self.exponents.a_at(k) * math.log(self.p)
 
-    def cumulative_log(self, k_hi: int) -> np.ndarray:
-        """L with L[j] = ln(p_1 ... p_j) for j in [0, k_hi], summed in ascending j."""
+    def cumulative_log(self, k_hi: int):
+        """The numpy array L with L[j] = ln(p_1 ... p_j) for j in [0, k_hi], summed in ascending j."""
         if k_hi < 0:
             raise InvalidParamsError("k_hi must be >= 0")
+        np = _import_numpy_without_blas_pool()
         out = np.zeros(k_hi + 1)
         if k_hi:
             logs = np.array([self.log_p_at(k) for k in range(1, k_hi + 1)])
@@ -441,6 +458,7 @@ class _Limits:
         _require_span(self.window)
         k_lo, k_hi = self.window
         cum = seq.cumulative_log(k_hi)
+        np = _import_numpy_without_blas_pool()
         span = k_hi - k_lo
         means = (cum[k_lo + 1 :] - cum[k_lo]) / np.arange(1, span + 1)
         self.alpha = float(np.exp(means.min()))

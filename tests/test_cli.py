@@ -719,10 +719,11 @@ def test_huge_sweep_grid_rejected_before_it_is_built():
     assert payload["error"] == "ConfigError" and str(MAX_GRID_POINTS) in payload["message"]
 
 
-# records every write to os.environ made by `import perclab`, then prints
-# them with the BLAS thread variables and the process's thread count
+# records every write to os.environ made by perclab's first use of numpy
+# (importing the engine, unless the probe is given another first use), then
+# prints them with the BLAS thread variables and the process's thread count
 IMPORT_PROBE = """
-import json, os
+import json, os, sys
 writes = []
 environ = type(os.environ)
 set_item, del_item = environ.__setitem__, environ.__delitem__
@@ -733,29 +734,41 @@ def recording_del(self, key):
     writes.append(["del", key])
     del_item(self, key)
 environ.__setitem__, environ.__delitem__ = recording_set, recording_del
-import perclab
+%%(first_use)s
 environ.__setitem__, environ.__delitem__ = set_item, del_item
 tasks = "/proc/self/task"
 print(json.dumps({
     "writes": writes,
     "vars": {key: os.environ.get(key) for key in %r},
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "numpy": "numpy" in sys.modules,
 }))
 """ % (BLAS_THREAD_VARS,)
+CAPPED_WRITES = [["set", "OPENBLAS_NUM_THREADS", "1"], ["del", "OPENBLAS_NUM_THREADS"]]
 
 
-def probe_import(prelude: str = "", **preset: str) -> dict:
+def probe_import(prelude: str = "", first_use: str = "import perclab.engine", **preset: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", prelude + IMPORT_PROBE], env=child_env(**preset), capture_output=True,
-        text=True, timeout=60, check=True,
+        [sys.executable, "-c", prelude + IMPORT_PROBE % {"first_use": first_use}],
+        env=child_env(**preset), capture_output=True, text=True, timeout=60, check=True,
     )
     return json.loads(proc.stdout)
 
 
 def test_import_starts_no_blas_pool_and_unsets_its_cap():
     probe = probe_import()
+    assert probe["numpy"] and probe["writes"] == CAPPED_WRITES
     assert probe["vars"] == dict.fromkeys(BLAS_THREAD_VARS)
     assert probe["threads"] in (None, 1)  # None where /proc/self/task is missing
+
+
+def test_windowed_evaluation_loads_numpy_with_the_cap():
+    # no draw: the windowed evaluator is the first user of numpy here
+    probe = probe_import(first_use="from perclab.probseq import ProbSequence, _Limits\n"
+                                   "_Limits(ProbSequence.mfp(0.5), (8, 32), 'windowed')")
+    assert probe["numpy"] and probe["writes"] == CAPPED_WRITES
+    assert probe["vars"] == dict.fromkeys(BLAS_THREAD_VARS)
+    assert probe["threads"] in (None, 1)
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
@@ -769,6 +782,84 @@ def test_import_after_numpy_leaves_the_environment_untouched():
     probe = probe_import("import numpy\n")
     assert probe["writes"] == []
     assert probe["vars"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+
+# runs the CLI in a child that imports perclab.cli; with no arguments, only
+# imports perclab; then prints its exit code and which of numpy and the engine loaded
+LOADS_PROBE = """
+import contextlib, io, json, sys
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if argv:
+        from perclab import cli
+        code = cli.main(argv)
+    else:
+        import perclab
+        code = 0
+print(json.dumps([code, [name for name in ("numpy", "perclab.engine") if name in sys.modules]]))
+"""
+
+
+def probe_loads(*argv: str) -> tuple[int, list[str]]:
+    proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, *argv], env=child_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+MFP = ("--family", "mfp", "--p", "0.7", "--n", "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--version",),
+        ("--help",),
+        ("dims", *MFP),
+        ("dims", *MFP, "--format", "csv"),
+        ("dims", "--family", "power_telescope", "--p", "0.5", "--a", "0.25", "--n", "1"),
+        ("classify", *MFP),
+        ("classify", "--family", "explicit", "--prefix", "0.5,0.6", "--tail", "1", "--n", "1"),
+        ("witness", "--r", "0.5", "--l", "0.2"),
+        ("witness", "--r", "0.5", "--format", "ledger"),
+        ("sweep", "--quantity", "dims", "--family", "mfp", "--n", "2", "--p-grid", "0.3:0.9:5"),
+    ],
+    ids=["import", "version", "help", "dims", "dims-csv", "dims-telescope", "classify", "classify-explicit",
+         "witness", "witness-ledger", "sweep-dims"],
+)
+def test_analytic_commands_load_no_numpy(argv):
+    assert probe_loads(*argv) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (("generate", *MFP, "--depth", "3"), ["numpy", "perclab.engine"]),
+        (("survival", *MFP, "--depth", "3", "--reps", "100"), ["numpy", "perclab.engine"]),
+        (("dims", *MFP, "--method", "windowed", "--window", "8:32"), ["numpy"]),
+    ],
+    ids=["generate", "survival", "dims-windowed"],
+)
+def test_draws_and_windowed_evaluation_load_numpy(argv, loads):
+    assert probe_loads(*argv) == (0, loads)
+
+
+def test_package_names_resolve_on_first_use():
+    import importlib
+
+    import perclab
+
+    for name in perclab.__all__[1:]:
+        module = importlib.import_module(f"perclab.{perclab._MODULE_OF[name]}")
+        assert getattr(perclab, name) is getattr(module, name), name
+        assert name not in vars(perclab), name  # looked up afresh, never stored
+    assert perclab.__all__[0] == "__version__"
+    assert set(perclab.__all__) <= set(dir(perclab))
+    namespace: dict = {}
+    exec("from perclab import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(perclab.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        perclab.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize(

@@ -343,8 +343,28 @@ def explicit_prefix_seqs():
     )
 
 
+FAMILY_RULES = {"mfp": "constant_one", "power": "explicit_list", "power_head": "explicit_list",
+                "power_harmonic": "harmonic", "power_telescope": "geometric_gap"}
+
+
+@st.composite
+def direct_seqs(draw):
+    """A catalog family built directly under its own rule, with any of the rule fields set; refusals dropped."""
+    exponents = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+    family = draw(st.sampled_from(sorted(FAMILY_RULES)))
+    values = sorted(draw(st.one_of(st.just([]), st.lists(exponents, max_size=3))), reverse=True)
+    tail = draw(st.one_of(st.none(), exponents))
+    a = draw(st.one_of(st.none(), st.sampled_from([0.25, 0.5, 0.75])))
+    try:
+        spec = ExponentSpec(FAMILY_RULES[family], values=values, tail=tail, a=a)
+        return ProbSequence(family, p=draw(st.floats(0.05, 0.95)), exponents=spec)
+    except InvalidParamsError:
+        return None
+
+
 @settings(max_examples=200, deadline=None)
-@given(seq=st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs(), explicit_prefix_seqs()))
+@given(seq=st.one_of(catalog_seqs(), harmonic_seqs(), explicit_tail_seqs(), explicit_prefix_seqs(),
+                     direct_seqs().filter(lambda seq: seq is not None)))
 def test_every_family_round_trips(seq):
     back = ProbSequence.from_dict(json.loads(json.dumps(seq.to_dict())))
     assert back == seq
@@ -413,6 +433,29 @@ def test_catalog_family_refuses_every_other_rule():
                 ProbSequence(family, p=0.5, exponents=rules[other])
         with pytest.raises(InvalidParamsError, match=f"{family} sequence takes {rule} exponents"):
             ProbSequence(family, p=0.5)
+
+
+@pytest.mark.parametrize("kind, stray", [
+    ("constant_one", "values"), ("constant_one", "tail"), ("constant_one", "a"),
+    ("explicit_list", "a"),
+    ("geometric_gap", "values"), ("geometric_gap", "tail"),
+    ("harmonic", "values"), ("harmonic", "tail"), ("harmonic", "a"),
+])
+def test_exponent_rule_refuses_fields_it_does_not_read(kind, stray):
+    # ExponentSpec("constant_one", values=(3.0,)) was the law of mfp, but did not read back as itself
+    own = {"explicit_list": {"tail": 1.0}, "geometric_gap": {"a": 0.5}}.get(kind, {})
+    assert ExponentSpec(kind, **own).kind == kind
+    with pytest.raises(InvalidParamsError, match=rf"{kind} exponents do not read fields \['{stray}'\]"):
+        ExponentSpec(kind, **own, **{stray: {"values": (3.0,), "tail": 1.0, "a": 0.5}[stray]})
+
+
+@pytest.mark.parametrize("values, tail", [([2.0, 1.5], 1.2), ([2.0], 1.2), ([2.0, 1.0], 1.0), ([], 1.0)])
+def test_power_head_takes_one_head_exponent_then_tail_one(values, tail):
+    # its wire dict carries only a, so any other list would read back as another law
+    with pytest.raises(InvalidParamsError, match="power_head exponents are one head exponent"):
+        ProbSequence("power_head", p=0.5, exponents=ExponentSpec.explicit_list(values, tail))
+    seq = ProbSequence("power_head", p=0.5, exponents=ExponentSpec.explicit_list([2.0], 1.0))
+    assert seq == ProbSequence.power_head(0.5, 2.0)
 
 
 def test_from_dict_reads_null_fields_as_absent():
