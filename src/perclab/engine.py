@@ -16,13 +16,13 @@ in sorted order, children in digit order), and a child is kept iff its word
 is at most an exact bound from p_k, which is the same test as u < p_k on the
 uniform u numpy's Philox makes of that word.  So a realization is
 bit-identical across runs and platforms for a fixed key and a fixed numpy,
-and distinct replicates use disjoint keyed streams.  One bit generator may
-serve many streams: it is re-keyed in place before each.
+and distinct replicates use disjoint keyed streams.  Every sampler draws
+through one loop, :func:`_draw_levels`, which re-keys one bit generator per
+stream.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -100,14 +100,13 @@ def _key_stream(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.P
     return bitgen
 
 
-@functools.lru_cache(maxsize=256)
 def _keep_bound(p: float) -> np.uint64 | None:
     """The largest raw Philox word kept at probability p; None when p is 0.
 
     numpy's Philox ``next_double`` maps a raw word x to u = (x >> 11) * 2^-53,
     so u < p iff x >> 11 < ceil(p * 2^53) iff x <= (ceil(p * 2^53) << 11) - 1.
     Scaling by 2^53 is exact, and p = 1 gives 2^64 - 1, which keeps every
-    word.  Memoized: every replicate of one params asks for the same bounds.
+    word.
     """
     t = math.ceil(p * 2.0**53)
     return np.uint64((t << 11) - 1) if t else None
@@ -349,15 +348,12 @@ def _next_level_packed(parents, m, n, side, keep, kept) -> np.ndarray:
     return out
 
 
-def _keep_mask(bitgen: np.random.Philox, size: int, bound: np.uint64 | None) -> np.ndarray:
+def _keep_mask(bitgen: np.random.Philox, size: int, bound: np.uint64) -> np.ndarray:
     """Whether each of the next ``size`` raw words of ``bitgen`` is at most ``bound``.
 
-    A None bound (p_k underflowed to 0) keeps nothing and draws nothing.
     Past one chunk the words are drawn _CHUNK at a time: consecutive draws
     continue the stream, so the words are the same.
     """
-    if bound is None:
-        return np.zeros(size, dtype=bool)
     if size <= _CHUNK:
         return bitgen.random_raw(size) <= bound
     keep = np.empty(size, dtype=bool)
@@ -372,45 +368,42 @@ def _count_kept(k, bitgen, candidates, bound) -> int:
     return int(np.count_nonzero(_keep_mask(bitgen, candidates, bound)))
 
 
-def _draw_levels(
-    params: PercolationParams,
-    stream: int,
-    probs: tuple[float, ...],
-    draw,
-    bitgen: np.random.Philox | None = None,
-) -> list[int]:
-    """Kept counts X_1, X_2, ... of one realization, each level drawn by ``draw``.
+def _draw_levels(params: PercolationParams, streams, draw):
+    """Yield the kept counts X_1, X_2, ... of each stream's realization, in stream order.
 
-    The stream contract of :func:`generate`, :func:`sample_counts` and
-    :func:`render_level`, and the one place that rules which level is drawn
-    and how.  Level k has X_{k-1} * m^n candidates, parents in sorted order
-    and children in digit order.  If they would exceed the cell budget, the
-    run aborts with the level and count (conservative on purpose: it also
-    bounds peak memory).  Otherwise ``draw(k, bitgen, candidates, bound)``
-    draws one raw 64-bit word per candidate in that order from ``bitgen``
-    (a new Philox if None), first re-keyed by :func:`_key_stream` to (seed,
-    stream), keeps a child iff :func:`_keep_mask` does, and returns the kept
-    count.  ``bound`` is ``_keep_bound(p_k)``: a word is at most it iff
-    u < p_k for the uniform u that numpy's Philox ``next_double`` makes of
-    the word, the variate ``stream_generator(seed, stream).random()`` gives
-    there; so p_k = 1 always retains.  A p_k that underflowed to 0 has no
-    bound: its level keeps nothing and draws nothing.  Past a tail-less
-    prefix, ``p_at`` raises.  Drawing stops after the first empty level.
+    The stream contract of every sampler and the one place that rules which
+    level is drawn and how.  Per call it builds each level's bound once and
+    one Philox, re-keyed by :func:`_key_stream` to (seed, stream) before
+    each stream.  Level k has X_{k-1} * m^n candidates, parents in sorted
+    order and children in digit order.  If they would exceed the cell
+    budget, the run aborts with the level and count (conservative on
+    purpose: it also bounds peak memory).  Otherwise ``draw(k, bitgen,
+    candidates, bound)`` draws one raw word per candidate in that order,
+    keeps a child iff :func:`_keep_mask` does, and returns the kept count.
+    ``bound`` is ``_keep_bound(p_k)``: a word is at most it iff u < p_k for
+    the uniform u the word gives as a variate of ``stream_generator(seed,
+    stream).random()``, so p_k = 1 always retains.  A p_k that underflowed
+    to 0 has no bound: the stream ends there with X_k = 0, and ``draw`` is
+    not called.  Past a tail-less prefix, ``p_at`` raises.  Drawing stops
+    after the first empty level.
     """
-    bitgen = _key_stream(np.random.Philox() if bitgen is None else bitgen, params.seed, stream)
+    bounds = tuple(map(_keep_bound, level_probs(params)))
+    bitgen = np.random.Philox()
     mn = params.m**params.n
-    counts = []
-    kept = 1
-    for k in range(1, params.depth + 1):
-        candidates = kept * mn
-        if candidates > params.cell_budget:
-            raise BudgetExceededError(k, candidates, params.cell_budget)
-        bound = _keep_bound(probs[k - 1] if k <= len(probs) else params.seq.p_at(k))
-        kept = draw(k, bitgen, candidates, bound)
-        counts.append(kept)
-        if kept == 0:
-            break
-    return counts
+    for stream in streams:
+        _key_stream(bitgen, params.seed, stream)
+        counts = []
+        kept = 1
+        for k in range(1, params.depth + 1):
+            candidates = kept * mn
+            if candidates > params.cell_budget:
+                raise BudgetExceededError(k, candidates, params.cell_budget)
+            bound = bounds[k - 1] if k <= len(bounds) else params.seq.p_at(k)  # raises there
+            kept = 0 if bound is None else draw(k, bitgen, candidates, bound)
+            counts.append(kept)
+            if kept == 0:
+                break
+        yield counts
 
 
 def generate(params: PercolationParams, stream: int = 0) -> Realization:
@@ -434,7 +427,7 @@ def generate(params: PercolationParams, stream: int = 0) -> Realization:
         cells.append(_next_level_packed(cells[-1], m, n, m**k, keep, kept))
         return kept
 
-    _draw_levels(params, stream, level_probs(params), next_level)
+    next(_draw_levels(params, (stream,), next_level))
     cells.extend(np.zeros(0, dtype=np.uint64) for _ in range(len(cells), params.depth + 1))
     return Realization._of_cells(params, cells, stream)
 
@@ -453,29 +446,23 @@ def level_probs(params: PercolationParams) -> tuple[float, ...]:
     return tuple(seq.p_at(k) for k in range(1, depth + 1))
 
 
-def sample_counts(
-    params: PercolationParams,
-    stream: int = 0,
-    probs: tuple[float, ...] | None = None,
-    bitgen: np.random.Philox | None = None,
-) -> list[int]:
+def sample_counts(params: PercolationParams, stream: int = 0) -> list[int]:
     """Level counts X_0..X_K of ``generate(params, stream)``, without its cells.
 
     Draws through the same :func:`_draw_levels` loop, so it consumes the
     same words and raises the same errors at the same level, but keeps
     only each level's kept count: no coordinate is expanded, sorted or
-    stored.  ``probs`` is ``level_probs(params)`` and ``bitgen`` a Philox
-    bit generator, re-keyed to the stream before it is drawn from; callers
-    sampling many streams pass both once.  A stream outside [0, 2^64)
-    raises InvalidParamsError, as in :func:`generate`.
+    stored.  A stream outside [0, 2^64) raises InvalidParamsError, as in
+    :func:`generate`.
     """
     _check_stream(stream)
-    if probs is None:
-        probs = level_probs(params)
-    counts = [1]
-    counts.extend(_draw_levels(params, stream, probs, _count_kept, bitgen))
-    counts.extend([0] * (params.depth + 1 - len(counts)))
-    return counts
+    return next(_replicate_counts(params, (stream,)))
+
+
+def _replicate_counts(params: PercolationParams, streams):
+    """Yield ``sample_counts(params, stream)`` for each of ``streams``, from one draw loop."""
+    for counts in _draw_levels(params, streams, _count_kept):
+        yield [1, *counts] + [0] * (params.depth - len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +530,7 @@ def render_level(params: PercolationParams, level: int, stream: int = 0) -> np.n
         return kept
 
     if level:
-        cut = replace(params, depth=level)
-        _draw_levels(cut, stream, level_probs(cut), next_level)
+        next(_draw_levels(replace(params, depth=level), (stream,), next_level))
     if flat.shape[0] < side * side:  # extinct above the rendered level
         flat = np.zeros(side * side, dtype=np.uint8)
     return _image(flat, side)

@@ -5,12 +5,13 @@ Replicate i is ``sample_counts(params, i)``: the counts of the realization
 ``generate`` would build on the Philox stream keyed (seed, i), drawn on the
 same stream contract (one raw word per candidate, kept iff it is at most
 the exact bound for p_k) but without building coordinates.  ``_replicates``
-is the one place that maps replicates to streams: it builds one Philox bit
-generator per estimator call and re-keys it to (seed, i) before replicate
-i.  All three estimators draw the replicates inline, in stream order, and
-fold them in that order, so results are deterministic for a fixed (seed,
-params, replicates) and a fixed numpy.  numpy and the engine load in
-``_replicates``, on the first draw: the CSV rows of ``dims`` need neither.
+maps replicates 0..count-1 to streams 0..count-1 of one call of the
+engine's draw loop, which builds the level bounds and the bit generator
+once per estimator call.  All three estimators draw the replicates inline,
+in stream order, and fold them in that order, so results are deterministic
+for a fixed (seed, params, replicates) and a fixed numpy.  The engine, and
+with it numpy, loads only once an estimator runs: the CSV rows of ``dims``
+need neither.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from . import _import_numpy_without_blas_pool
 from .dimensions import expected_measure
 from .errors import AllExtinctError, InvalidParamsError
 from .probseq import KIND_MFP
@@ -118,17 +118,10 @@ def branching_extinction_prob(
 
 
 def _replicates(params: PercolationParams, count: int):
-    """Level counts of replicates 0..count-1, drawn lazily in stream order.
+    """Level counts of replicates 0..count-1, drawn lazily in stream order."""
+    from .engine import _replicate_counts
 
-    One Philox bit generator per call, re-keyed to stream i before replicate
-    i, serves every replicate; it is never shared between calls.
-    """
-    from .engine import level_probs, sample_counts
-
-    probs = level_probs(params)
-    bitgen = _import_numpy_without_blas_pool().random.Philox()
-    for i in range(count):
-        yield sample_counts(params, i, probs, bitgen)
+    return _replicate_counts(params, range(count))
 
 
 def _z_score(estimate: float, theory: float | None, se: float) -> float | None:
@@ -151,7 +144,10 @@ def estimate_measure(params: PercolationParams, replicates: int) -> EstimateRepo
 
     Counts are accumulated as exact integers in replicate order and divided
     once at the end, so the result is independent of execution interleaving.
+    A tail-less prefix shorter than K has no theory value prod p_k.
     """
+    from .engine import level_probs
+
     _check_replicates(replicates)
     K = params.depth
     s = 0
@@ -164,7 +160,7 @@ def estimate_measure(params: PercolationParams, replicates: int) -> EstimateRepo
     est = (s / replicates) * scale
     var_counts = float(replicates * s2 - s * s) / (replicates * (replicates - 1))
     se = math.sqrt(max(var_counts, 0.0) / replicates) * scale
-    theory = math.exp(params.seq.log_prefix_product(K))
+    theory = None if len(level_probs(params)) < K else math.exp(params.seq.log_prefix_product(K))
     limit = None if params.seq.limit is None else expected_measure(params.seq, params.n, params.m)
     return _report(QUANTITY_MEASURE, params, replicates, est, se, theory, limit)
 

@@ -183,11 +183,13 @@ class ProbSequence:
       explicit         a finite prefix plus an optional constant tail
 
     Each family has one exponent rule and one set of wire fields, both
-    fixed by ``_FAMILIES``; a catalog sequence built with another rule is
-    refused, and so is a power_head list other than (a,) then tail 1,
-    which its one wire field ``a`` could not carry.  The construction takes
-    p_k non-decreasing, so an explicit or power sequence that decreases
-    somewhere is refused too.
+    fixed by ``_FAMILIES``.  A catalog sequence stores only ``p`` and
+    ``exponents``, an explicit one only ``prefix`` and ``tail``, and each
+    refuses the other pair, so that a sequence reads back as itself.  A
+    catalog sequence built with another rule is refused, and so is a
+    power_head list other than (a,) then tail 1, which its one wire field
+    ``a`` could not carry.  The construction takes p_k non-decreasing, so
+    an explicit or power sequence that decreases somewhere is refused too.
     """
 
     kind: str
@@ -201,6 +203,11 @@ class ProbSequence:
         if self.kind not in _FAMILIES:
             raise InvalidParamsError(f"unknown sequence kind {self.kind!r}")
         rule = _FAMILIES[self.kind][1]
+        stores = ("prefix", "tail") if rule is None else ("p", "exponents")
+        stray = [f for f in ("p", "prefix", "tail", "exponents")
+                 if getattr(self, f) not in (None, ()) and f not in stores]
+        if stray:
+            raise InvalidParamsError(f"{self.kind} sequence does not store fields {stray}")
         if rule is None:
             if not self.prefix and self.tail is None:
                 raise InvalidParamsError("explicit sequence needs a prefix or a tail value")

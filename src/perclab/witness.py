@@ -2,13 +2,14 @@
 
 A witness is a list of percolation components, one per axis-aligned cube
 region, whose sequences realize the target analytically.  The target's own
-block, chosen by l, sits in [0, b]^n with b = (floor(l)+1)^(1/n):
+block, chosen by l, sits in [0, b]^n with b = s^(1/n) for the scale s of
+l: floor(l) + 1, or the next double above l once floor(l) + 1 rounds back
+to l (l >= 2^53), so that s > l always:
 
   r < n, l = 0      one head-weighted family at p = m^(r - n), b = 1
   r = n, l = 0      one harmonic family p_k = p^(1/k): p_k -> 1 but
                     prod p_k = 0, b = 1
-  l > 0             one telescoping family at p = l/(floor(l)+1), scaled
-                    into [0, b]^n
+  l > 0             one telescoping family at p = l/s, scaled into [0, b]^n
 
 and a measure-0 low-dimension block sits beside it in the translated cube
 [b, 2b]^n.  build_witness is the one entry point.  WitnessReport derives the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidParamsError
@@ -98,6 +100,8 @@ class WitnessSpec:
             raise InvalidParamsError("target dimension r must be positive and finite")
         if not 0.0 <= self.l < math.inf:
             raise InvalidParamsError("target measure l must be >= 0 and finite")
+        if self.l == sys.float_info.max:  # no double above l can scale its block
+            raise InvalidParamsError(f"target measure l must be below {sys.float_info.max!r}")
         if self.n < math.ceil(self.r):
             raise InvalidParamsError(
                 f"ambient dimension n={self.n} must be >= ceil(r)={math.ceil(self.r)}"
@@ -175,15 +179,13 @@ def _zero_measure(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
     return (WitnessComponent(unit, seq, predicted_dim=float(spec.n), predicted_measure=0.0, label="dim_carrier"),)
 
 
-def _positive(spec: WitnessSpec) -> tuple[WitnessComponent, ...]:
-    """Measure l > 0 at dimension n: a telescope at p = l / (floor(l) + 1).
+def _positive(spec: WitnessSpec, scale: float, b: float) -> tuple[WitnessComponent, ...]:
+    """Measure l > 0 at dimension n: a telescope at p = l / scale < 1.
 
-    Its unit-cube measure p scales to l in the cube [0, b]^n, b^n = floor(l) + 1.
+    Its unit-cube measure p scales to l in the cube [0, b]^n, b^n = scale.
     """
     l, n = spec.l, spec.n
-    scale = math.floor(l) + 1.0
     p = l / scale
-    b = scale ** (1.0 / n)
     # relative: b^n * p rounds to within a few ulps of l, at any scale of l
     if abs(b**n * p - l) > 1e-12 * l:
         raise InternalInvariantError(f"measure scaling drifted: {b**n * p!r} != {l!r}")
@@ -198,12 +200,13 @@ def build_witness(spec: WitnessSpec) -> WitnessReport:
     """The target's own block in [0, b]^n beside a low block in [b, 2b]^n.
 
     The own block has dimension r if l = 0 and n otherwise, and measure l;
-    b = (floor(l)+1)^(1/n).  The low block has measure 0 and dimension r/2,
+    b^n is the scale of l.  The low block has measure 0 and dimension r/2,
     so it never wins the max rule.
     """
     r, l, n = spec.r, spec.l, spec.n
-    own = _positive(spec) if l > 0.0 else _zero_measure(spec)
-    b = (math.floor(l) + 1.0) ** (1.0 / n)
+    scale = max(math.floor(l) + 1.0, math.nextafter(l, math.inf))  # > l, also past 2^53
+    b = scale ** (1.0 / n)
+    own = _positive(spec, scale, b) if l > 0.0 else _zero_measure(spec)
     low = _head_component(r / 2.0, n, spec.m, Box((b,) * n, b), "low_dim_block")
     target_dim = float(r) if l == 0 else float(n)
     return WitnessReport(n, spec.m, own + (low,), target_dim, float(l))

@@ -166,6 +166,22 @@ def test_underflowed_retention_keeps_nothing(capsys):
     assert result["estimate"] == 0.0 and result["replicates"] == 100
 
 
+@pytest.mark.parametrize("prefix, rc", [("0.01,0.01", 0), ("0.9,0.9", 3)], ids=["all-die", "alive-past"])
+def test_measure_past_a_tailless_prefix(capsys, prefix, rc):
+    # depth 5 past a 2-term prefix: with every replicate dead within the
+    # prefix the estimate stands and its theory is null, as in survival; a
+    # replicate alive at level 3 fails there
+    argv = ("measure", "--family", "explicit", "--prefix", prefix, "--n", "1", "--m", "2", "--depth", "5",
+            "--reps", "100")
+    got, out, err = run(capsys, *argv)
+    assert got == rc
+    if rc:
+        assert json.loads(err.splitlines()[0])["message"] == "explicit sequence defined only up to k=2, asked for k=3"
+    else:
+        result = json.loads(out)["result"]
+        assert (result["estimate"], result["theory"], result["z_score"]) == (0.0, None, None)
+
+
 def test_render_spec_scale(tmp_path, capsys):
     out_path = tmp_path / "c8.pgm"
     rc, _, _ = run(
@@ -434,6 +450,26 @@ def test_witness_large_measure_target(capsys):
     rc, out, _ = run(capsys, "witness", "--r", "1", "--l", "1e9", "--n", "3")
     assert rc == 0
     assert json.loads(out)["result"]["combined_measure"] == 1e9
+
+
+@pytest.mark.parametrize("l", ["4503599627370496", "9007199254740992", "1e16", "1e300"])
+def test_witness_measure_at_and_past_2_53(capsys, l):
+    # from 2^53 on floor(l) + 1 rounds back to l; the block is scaled by the
+    # next double above l instead, so p = l / scale stays below 1
+    rc, out, _ = run(capsys, "witness", "--r", "1", "--l", l, "--n", "1", "--m", "2")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["combined_measure"] == float(l)
+    assert result["components"][0]["seq"]["p"] < 1.0
+
+
+def test_witness_refuses_the_largest_double(capsys):
+    # no double lies above it to scale the block by
+    rc, out, err = run(capsys, "witness", "--r", "1", "--l", "1.7976931348623157e308", "--n", "1", "--m", "2")
+    assert rc == 3 and out == ""
+    error = json.loads(err.splitlines()[0])
+    assert error["error"] == "InvalidParamsError"
+    assert "must be below 1.7976931348623157e+308" in error["message"]
 
 
 # -- sweep -------------------------------------------------------------------------------

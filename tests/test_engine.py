@@ -222,8 +222,6 @@ def test_sample_counts_matches_generate(seq, geometry, depth, seed, stream, budg
     params = PercolationParams(n, m, depth, seq, seed=seed, cell_budget=budget)
     want = _outcome(lambda: generate(params, stream).counts)
     assert _outcome(lambda: sample_counts(params, stream)) == want
-    probs = level_probs(params)
-    assert _outcome(lambda: sample_counts(params, stream, probs)) == want
 
 
 def test_sample_counts_tailless_prefix_shorter_than_depth():
@@ -422,17 +420,19 @@ def test_keep_bound_splits_the_words_at_p(p):
         assert p == 1.0  # every word is kept
 
 
-def _drawn_masks(params, stream, probs, bitgen):
-    """(keep mask, kept count) of each level ``_draw_levels`` draws, masks by ``_keep_mask``."""
-    drawn = []
+def _drawn_masks(params, streams):
+    """(counts, [(keep mask, kept count) of each level drawn]) of each stream of one ``_draw_levels`` call."""
+    out, drawn = [], []
 
     def draw(k, bitgen, candidates, bound):
         keep = engine._keep_mask(bitgen, candidates, bound)
         drawn.append((keep, int(np.count_nonzero(keep))))
         return drawn[-1][1]
 
-    assert engine._draw_levels(params, stream, probs, draw, bitgen) == [kept for _, kept in drawn]
-    return drawn
+    for counts in engine._draw_levels(params, streams, draw):
+        out.append((counts, drawn[:]))
+        drawn.clear()
+    return out
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -441,13 +441,17 @@ def test_raw_word_mask_matches_the_uniform_test(monkeypatch, chunk, p):
     # one level of m = 4099 candidates: the mask word for word against u < p
     if chunk is not None:
         monkeypatch.setattr(engine, "_CHUNK", chunk)
-    bitgen = np.random.Philox()
+    # p_1 = p; (1e-200)^2 underflows to 0, which no explicit prefix takes
+    seq = ProbSequence.explicit([p]) if p else ProbSequence.power_head(1e-200, 2)
     for seed, stream in EDGE_KEYS:
-        params = PercolationParams(1, 4099, 1, FULL, seed=seed)
-        [(keep, kept)] = _drawn_masks(params, stream, (p,), bitgen)
+        params = PercolationParams(1, 4099, 1, seq, seed=seed)
+        [(counts, drawn)] = _drawn_masks(params, (stream,))
+        # a level with no bound (p = 0) ends the stream undrawn: it keeps nothing
+        assert len(drawn) == (p > 0)
+        keep, kept = drawn[0] if drawn else (np.zeros(4099, dtype=bool), 0)
         want = engine.stream_generator(seed, stream).random(4099) < p
         assert np.array_equal(keep, want)
-        assert kept == int(np.count_nonzero(want))
+        assert counts == [kept] == [int(np.count_nonzero(want))]
 
 
 def _fresh_state(seed, stream):
@@ -507,18 +511,22 @@ def test_chunked_generate_matches_reference(monkeypatch, chunk, n, m, depth, p, 
 
 
 def test_chunked_draw_gives_the_same_masks(monkeypatch):
-    # one bit generator serves both draws: the second re-keys it mid-block
+    # two streams drawn in one call, a chunk at a time, against each drawn
+    # whole in a call of its own; stream 0 ends mid-block, so the call
+    # re-keys its bit generator mid-block for stream 1
     params = _params(n=2, m=3, depth=5, seq=ProbSequence.mfp(0.7), seed=12)
-    probs = level_probs(params)
-    bitgen = np.random.Philox()
-    whole = _drawn_masks(params, 0, probs, bitgen)
+    whole = [_drawn_masks(params, (stream,))[0] for stream in (0, 1)]
+    assert sum(keep.shape[0] for keep, _ in whole[0][1]) % 4
     monkeypatch.setattr(engine, "_CHUNK", 7)
-    chunked = _drawn_masks(params, 0, probs, bitgen)
-    assert len(whole) == len(chunked) == 5
-    assert whole[-1][0].shape[0] > 7  # the last level spans several chunks
-    for (a, x), (b, y) in zip(whole, chunked):
-        assert x == y
-        assert np.array_equal(a, b)
+    chunked = _drawn_masks(params, (0, 1))
+    assert len(chunked) == 2
+    for (counts, levels), (got_counts, got) in zip(whole, chunked):
+        assert len(levels) == len(got) == 5
+        assert levels[-1][0].shape[0] > 7  # the last level spans several chunks
+        assert counts == got_counts == [kept for _, kept in levels]
+        for (a, x), (b, y) in zip(levels, got):
+            assert x == y
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n, m, depth, p, seed", CHUNK_CASES)
@@ -888,22 +896,33 @@ def test_render_level_checks_before_drawing(monkeypatch):
         render_level(_params(n=2, m=2, depth=3), 3, stream=2**64)
 
 
-def test_render_level_underflowed_level_draws_nothing(monkeypatch):
-    # p_1 = (1e-200)^2 underflows to 0: level 1 has no bound, keeps nothing
-    # and draws no word, so the raster of any level past it is empty
-    params = _params(n=2, m=2, depth=4, seq=ProbSequence.power_head(1e-200, 2))
-    assert engine._keep_bound(params.seq.p_at(1)) is None
-    drawn = []
+UNDERFLOWED = _params(n=2, m=2, depth=4, seq=ProbSequence.power_head(1e-200, 2))
+UNDERFLOWED_RUNS = {
+    "generate": (lambda: generate(UNDERFLOWED).counts, [1, 0, 0, 0, 0]),
+    "sample_counts": (lambda: sample_counts(UNDERFLOWED), [1, 0, 0, 0, 0]),
+    "render_level": (lambda: [render_level(UNDERFLOWED, level).tolist() for level in (1, 3)],
+                     [[[0] * 2**level] * 2**level for level in (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("run, want", UNDERFLOWED_RUNS.values(), ids=UNDERFLOWED_RUNS.keys())
+def test_render_level_underflowed_level_draws_nothing(monkeypatch, run, want):
+    # p_1 = (1e-200)^2 underflows to 0: level 1 has no bound, so the draw
+    # loop ends each stream there, keeping nothing; no mask is drawn and
+    # the stream's bit generator draws no word
+    assert engine._keep_bound(UNDERFLOWED.seq.p_at(1)) is None
+    keyed, drawn = [], []
+    key_stream = engine._key_stream
+
+    def recorded_key_stream(bitgen, seed, stream):
+        keyed.append(bitgen)
+        return key_stream(bitgen, seed, stream)
+
+    monkeypatch.setattr(engine, "_key_stream", recorded_key_stream)
     monkeypatch.setattr(engine, "_keep_mask", _recording(engine._keep_mask, drawn))
-    for level in (1, 3):
-        want = _reference_render(params, level)
-        drawn.clear()
-        got = render_level(params, level)
-        assert np.array_equal(got, want)
-        assert got.shape == (2**level, 2**level) and not got.any()
-        [(bitgen, size, bound)] = drawn
-        assert (size, bound) == (4, None)
-        assert bitgen.state["state"]["counter"].tolist() == [0, 0, 0, 0]  # no word drawn
+    assert run() == want
+    assert drawn == [] and keyed
+    assert all(bitgen.state["state"]["counter"].tolist() == [0, 0, 0, 0] for bitgen in keyed)
 
 
 def _recording(fn, calls):

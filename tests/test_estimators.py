@@ -17,6 +17,7 @@ from perclab import (
     generate,
     sample_counts,
 )
+from perclab import engine
 from perclab.estimators import CSV_COLUMNS, csv_row, format_float
 
 FULL = ProbSequence.explicit([], tail=1.0)
@@ -52,6 +53,22 @@ def test_measure_telescope_depth12():
     assert rep.theory_limit == 0.5
     assert abs(rep.z_score) < 4
     assert rep.estimate == pytest.approx(0.5, abs=0.05)
+
+
+def test_measure_has_no_theory_past_a_tailless_prefix():
+    # p_3 is undefined: the theory prod_{k<=5} p_k is null, and the
+    # replicates, all dead within the prefix, are still estimated
+    params = PercolationParams(1, 2, 5, ProbSequence.explicit([0.01, 0.01]), seed=0)
+    rep = estimate_measure(params, 100)
+    assert (rep.estimate, rep.theory, rep.z_score, rep.theory_limit) == (0.0, None, None, None)
+    # within the prefix the theory stands
+    assert estimate_measure(PercolationParams(1, 2, 2, params.seq), 100).theory == pytest.approx(1e-4)
+
+
+def test_measure_replicate_alive_past_a_tailless_prefix_raises():
+    params = PercolationParams(1, 2, 5, ProbSequence.explicit([0.9, 0.9]), seed=0)
+    with pytest.raises(InvalidParamsError, match="defined only up to k=2, asked for k=3"):
+        estimate_measure(params, 100)
 
 
 def test_measure_full_cube_zero_se():
@@ -210,6 +227,22 @@ def test_replicate_i_is_stream_i_in_stream_order():
     assert box.per_level_counts == tuple(
         sum(counts[i][k] for i in used) / 20 for k in range(3, K + 1)
     )
+
+
+def test_one_estimator_call_builds_each_level_bound_once(monkeypatch):
+    # the draw loop builds the bounds once per call, not once per replicate
+    calls = []
+    keep_bound = engine._keep_bound
+
+    def counted(p):
+        calls.append(p)
+        return keep_bound(p)
+
+    monkeypatch.setattr(engine, "_keep_bound", counted)
+    params = PercolationParams(2, 2, 6, ProbSequence.power_telescope(0.6, 0.5), seed=3)
+    rep = estimate_survival(params, 300)
+    assert 0.0 < rep.estimate < 1.0
+    assert len(calls) <= params.depth
 
 
 # -- CSV rows ----------------------------------------------------------------------

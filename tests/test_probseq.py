@@ -347,17 +347,30 @@ FAMILY_RULES = {"mfp": "constant_one", "power": "explicit_list", "power_head": "
                 "power_harmonic": "harmonic", "power_telescope": "geometric_gap"}
 
 
+# a value for each ProbSequence field, set on a family that does not store it
+STRAY_FIELDS = {"p": 0.5, "prefix": (0.3,), "tail": 0.6, "exponents": ExponentSpec.harmonic()}
+
+
 @st.composite
 def direct_seqs(draw):
-    """A catalog family built directly under its own rule, with any of the rule fields set; refusals dropped."""
+    """A family built directly, catalog under its own rule, with any of its fields and maybe a stray one set.
+
+    Refusals are dropped.
+    """
     exponents = st.sampled_from([0.5, 1.0, 1.5, 2.0])
-    family = draw(st.sampled_from(sorted(FAMILY_RULES)))
+    family = draw(st.sampled_from(sorted(FAMILY_RULES) + ["explicit"]))
     values = sorted(draw(st.one_of(st.just([]), st.lists(exponents, max_size=3))), reverse=True)
     tail = draw(st.one_of(st.none(), exponents))
     a = draw(st.one_of(st.none(), st.sampled_from([0.25, 0.5, 0.75])))
+    stray = draw(st.sampled_from([{}] + [{field: value} for field, value in STRAY_FIELDS.items()]))
     try:
-        spec = ExponentSpec(FAMILY_RULES[family], values=values, tail=tail, a=a)
-        return ProbSequence(family, p=draw(st.floats(0.05, 0.95)), exponents=spec)
+        if family == "explicit":
+            fields = {"prefix": sorted(draw(st.lists(st.floats(0.05, 1.0), max_size=3))),
+                      "tail": draw(st.one_of(st.none(), st.just(1.0)))}
+        else:
+            spec = ExponentSpec(FAMILY_RULES[family], values=values, tail=tail, a=a)
+            fields = {"p": draw(st.floats(0.05, 0.95)), "exponents": spec}
+        return ProbSequence(family, **{**fields, **stray})
     except InvalidParamsError:
         return None
 
@@ -447,6 +460,26 @@ def test_exponent_rule_refuses_fields_it_does_not_read(kind, stray):
     assert ExponentSpec(kind, **own).kind == kind
     with pytest.raises(InvalidParamsError, match=rf"{kind} exponents do not read fields \['{stray}'\]"):
         ExponentSpec(kind, **own, **{stray: {"values": (3.0,), "tail": 1.0, "a": 0.5}[stray]})
+
+
+OWN_EXPONENTS = {"mfp": ExponentSpec.constant_one(), "power": ExponentSpec.explicit_list([2.0], 1.0),
+                 "power_head": ExponentSpec.explicit_list([2.0], 1.0), "power_harmonic": ExponentSpec.harmonic(),
+                 "power_telescope": ExponentSpec.geometric_gap(0.5)}
+
+
+@pytest.mark.parametrize(
+    "family, stray",
+    [(family, stray) for family in sorted(FAMILY_RULES) for stray in ("prefix", "tail")]
+    + [("explicit", "p"), ("explicit", "exponents")],
+)
+def test_sequence_refuses_fields_its_family_does_not_store(family, stray):
+    # ProbSequence("mfp", p=0.5, prefix=(0.3,), ...) was accepted, but its
+    # wire dict dropped the prefix, so it did not read back as itself
+    own = {"prefix": (0.3,), "tail": 0.6} if family == "explicit" else {"p": 0.5, "exponents": OWN_EXPONENTS[family]}
+    seq = ProbSequence(family, **own)
+    assert ProbSequence.from_dict(seq.to_dict()) == seq
+    with pytest.raises(InvalidParamsError, match=rf"{family} sequence does not store fields \['{stray}'\]"):
+        ProbSequence(family, **own, **{stray: STRAY_FIELDS[stray]})
 
 
 @pytest.mark.parametrize("values, tail", [([2.0, 1.5], 1.2), ([2.0], 1.2), ([2.0, 1.0], 1.0), ([], 1.0)])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,23 @@ def test_spec_validation():
         WitnessSpec(r=1.0, l=-1.0, n=1, m=2)
 
 
+@pytest.mark.parametrize("l", [2.0**52, 2.0**53, 2.0**53 + 2, 1e16, 1e300, math.nextafter(sys.float_info.max, 0)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_measure_carrier_past_2_53_keeps_p_below_one(l, n):
+    # floor(l) + 1 rounds back to l from 2^53 on: the block's scale is then
+    # the next double above l, and the low block sits beside the same b
+    rep = build_witness(WitnessSpec(r=1.0, l=l, n=n, m=2))
+    carrier, low = rep.components
+    assert 0.0 < carrier.seq.p < 1.0
+    assert rep.combined_measure == l
+    assert low.region.lo == (carrier.region.side,) * n and low.region.side == carrier.region.side
+
+
+def test_spec_refuses_the_largest_double():
+    with pytest.raises(InvalidParamsError, match=re.escape(f"must be below {sys.float_info.max!r}")):
+        WitnessSpec(r=1.0, l=sys.float_info.max, n=2, m=2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spec_refuses_non_finite_targets(bad):
     with pytest.raises(InvalidParamsError, match="finite"):
@@ -209,7 +228,7 @@ def test_combined_rules_exact():
 def witness_specs(draw):
     n = draw(st.integers(1, 3))
     r = draw(st.one_of(st.integers(1, n).map(float), st.floats(0.01, float(n))))
-    l = draw(st.one_of(st.just(0.0), st.floats(0.01, 1e12)))
+    l = draw(st.one_of(st.just(0.0), st.floats(0.01, 1e300)))
     return WitnessSpec(r=r, l=l, n=n, m=draw(st.integers(2, 7)))
 
 
